@@ -271,29 +271,14 @@ def _stabilize_worklist(g, c0, policy, seed):
 
 
 def _audit(g, c0, stable, score):
-    """Exact integer check of the Laplacian identity and conservation."""
+    """Close out a stabilization with the exact balance check, or raise."""
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
-    deg = [int(d) for d in g.degree]
-    inflow = [0] * g.n_ordinary
-    for u, v, mult in g.edges:
-        if v == g.sink:
-            continue
-        inflow[u] += mult * score[v]
-        inflow[v] += mult * score[u]
-    ok = True
-    for v in range(g.n_ordinary):
-        expect = c0[v] - deg[v] * score[v] + inflow[v]
-        if stable[v] != expect or not (0 <= stable[v] < deg[v]) or score[v] < 0:
-            ok = False
-            break
     absorbed = sum(int(m) * s for m, s in zip(g.sink_mult, score))
-    if sum(c0) != sum(stable) + absorbed:
-        ok = False
-    if not ok:
+    received = _balance_check(g, c0, stable, score, absorbed)
+    if received is None:
         _STATS["identity_failures"] += 1
         raise InternalError("stabilization audit failed (Laplacian identity)")
-    received = [c + f for c, f in zip(c0, inflow)]
     return StabilizationResult(
         stable=stable,
         score=score,
@@ -303,34 +288,63 @@ def _audit(g, c0, stable, score):
     )
 
 
+def _balance_check(g, c0, stable, score, absorbed):
+    """Exact integer check of final = initial - L^T score and conservation.
+
+    Holds when ``stable`` is a stable, nonnegative outcome of ``c0`` under
+    nonnegative toppling counts ``score`` and exactly ``absorbed``
+    particles reach the sink.  Returns the per-vertex received counts
+    (initial placement plus inflow) when it holds, else None.
+    """
+    deg = [int(d) for d in g.degree]
+    inflow = [0] * g.n_ordinary
+    for u, v, mult in g.edges:
+        if v == g.sink:
+            continue
+        inflow[u] += mult * score[v]
+        inflow[v] += mult * score[u]
+    for v in range(g.n_ordinary):
+        expect = c0[v] - deg[v] * score[v] + inflow[v]
+        if stable[v] != expect or not (0 <= stable[v] < deg[v]) or score[v] < 0:
+            return None
+    if sum(c0) != sum(stable) + absorbed:
+        return None
+    return [c + f for c, f in zip(c0, inflow)]
+
+
 # ---------------------------------------------------------------------------
 # monotone threshold searches
 
 
-def _search_threshold(predicate, start: int) -> int:
-    """Least x >= 1 with predicate(x) true, for monotone predicates.
+def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
+    """Least x >= 1 whose stabilization of ``x * base`` satisfies ``done``.
 
-    Doubles an upper bracket from ``start`` and then bisects; the caller
-    guarantees monotonicity (larger placements only add topplings).
+    Returns ``(x, result)`` with the audited ``StabilizationResult`` of
+    that stabilization.  Doubles an upper bracket from ``start`` and then
+    bisects; the caller guarantees monotonicity (larger placements only
+    add topplings).
     """
-    hi = max(1, int(start))
-    if predicate(hi):
-        lo = 0
-    else:
-        while True:
-            lo, hi = hi, hi * 2
-            if hi > 1 << 200:
-                raise InternalError("threshold search diverged")
-            if predicate(hi):
-                break
-    # invariant: predicate(hi) holds; every answer is above lo
+
+    def probe(x):
+        res = stabilize(g, [x * c for c in base])
+        return res if done(res) else None
+
+    lo, hi = 0, max(1, int(start))
+    best = probe(hi)
+    while best is None:
+        lo, hi = hi, hi * 2
+        if hi > 1 << 200:
+            raise InternalError("threshold search diverged")
+        best = probe(hi)
+    # invariant: best is the result at hi and passes done; every answer is above lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if predicate(mid):
-            hi = mid
+        res = probe(mid)
+        if res is not None:
+            hi, best = mid, res
         else:
             lo = mid
-    return hi
+    return hi, best
 
 
 def min_to_topple(g: SandpileGraph, v: int, w: int) -> int:
@@ -339,11 +353,10 @@ def min_to_topple(g: SandpileGraph, v: int, w: int) -> int:
     if w == g.sink:
         raise PreconditionError("the sink never topples")
     g.check_ordinary(w, "target")
-
-    def hit(x):
-        return stabilize(g, point_config(g, v, x)).score[w] >= 1
-
-    return _search_threshold(hit, int(g.degree[w]))
+    x, _ = _least_multiple(
+        g, point_config(g, v, 1), lambda res: res.score[w] >= 1, int(g.degree[w])
+    )
+    return x
 
 
 def min_to_topple_uniform(g: SandpileGraph, sites, w: int) -> UniformThreshold:
@@ -358,11 +371,12 @@ def min_to_topple_uniform(g: SandpileGraph, sites, w: int) -> UniformThreshold:
     if w == g.sink:
         raise PreconditionError("the sink never topples")
     g.check_ordinary(w, "target")
-
-    def hit(x):
-        return stabilize(g, uniform_config(g, sites, x)).score[w] >= 1
-
-    h = _search_threshold(hit, int(g.degree[w]) if len(sites) == 1 else 1)
+    h, _ = _least_multiple(
+        g,
+        uniform_config(g, sites, 1),
+        lambda res: res.score[w] >= 1,
+        int(g.degree[w]) if len(sites) == 1 else 1,
+    )
     return UniformThreshold(h_topple=h, h_no_topple=h - 1)
 
 
@@ -377,11 +391,10 @@ def flood_count(g: SandpileGraph, v: int, targets) -> int:
         raise PreconditionError("target set is empty")
     for t in target_list:
         g.check_ordinary(t, "target")
-
-    def flooded(x):
-        return stabilize(g, point_config(g, v, x)).flooded(target_list)
-
-    return _search_threshold(flooded, 1)
+    x, _ = _least_multiple(
+        g, point_config(g, v, 1), lambda res: res.flooded(target_list)
+    )
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +556,7 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
 def tcl_single_site(g: SandpileGraph, v: int) -> TclResult:
     """Least count at ``v`` whose stabilization topples every vertex."""
     g.check_ordinary(v, "site")
-    everyone = range(g.n_ordinary)
-
-    def all_topple(x):
-        score = stabilize(g, point_config(g, v, x)).score
-        return all(score[u] >= 1 for u in everyone)
-
-    value = _search_threshold(all_topple, int(g.degree[v]))
+    value, _ = _least_multiple(
+        g, point_config(g, v, 1), lambda res: min(res.score) >= 1, int(g.degree[v])
+    )
     return TclResult(value=value, mode="single_site", witness=int(v))

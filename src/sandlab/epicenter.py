@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import flood_count, point_config, stabilize, _search_threshold
+from .engine import _least_multiple, flood_count, point_config, stabilize
 from .errors import InternalError, PreconditionError, ResourceLimitError
 
 __all__ = [
@@ -319,17 +319,6 @@ def _split_point(eta, s, e):
 # propagation
 
 
-def _min_multiplier(g, base, targets):
-    """Least k >= 1 with k * base flooding all targets, plus that run."""
-
-    def flooded(k):
-        scaled = [k * c for c in base]
-        return stabilize(g, scaled).flooded(targets)
-
-    k = _search_threshold(flooded, 1)
-    return k, stabilize(g, [k * c for c in base])
-
-
 def single_step(g, v, u, c_base, params: BoundParams):
     """One re-centering experiment: from a flooded ball at v to one at u.
 
@@ -360,7 +349,7 @@ def single_step(g, v, u, c_base, params: BoundParams):
     if not (2 * eta_u >= eta_v and 2 * eta_u <= 3 * eta_v):
         raise InternalError("radius ratio left its guaranteed window")
     ball_u = g.ordinary_ball(u, eta_u)
-    k, _ = _min_multiplier(g, base, ball_u)
+    k, _ = _least_multiple(g, base, lambda r: r.flooded(ball_u))
     return k, bound
 
 
@@ -396,10 +385,9 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
         # the fourth vertex covers its whole sink-free ball
         idx = min(3, len(vertices) - 1)
         ball = g.ordinary_ball(vertices[idx], 3)
-    k0 = flood_count(g, p, ball)
-    total = int(k0)
+    k0, res = _least_multiple(g, point_config(g, p, 1), lambda r: r.flooded(ball))
+    total = k0
     steps = []
-    res = stabilize(g, point_config(g, p, total))
     if res.flooded([q]):
         return FloodTrace(k0=k0, steps=(), total=total, target_flooded=True)
 
@@ -419,15 +407,17 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
             u = vertices[idx]
             radius = eta[idx]
             targets = g.ordinary_ball(u, radius) if radius >= 1 else [u]
-            k, res = _min_multiplier(g, point_config(g, p, total), targets)
+            k, res = _least_multiple(
+                g, point_config(g, p, total), lambda r: r.flooded(targets)
+            )
             total *= k
             steps.append(FloodStep(center=u, radius=radius, multiplier=k,
                                    segment=seg_idx))
             if res.flooded([q]):
                 return FloodTrace(k0, tuple(steps), total, True)
 
-    flooded = stabilize(g, point_config(g, p, total)).flooded([q])
-    return FloodTrace(k0, tuple(steps), total, bool(flooded))
+    # res stabilizes the final total and was found dry above
+    return FloodTrace(k0, tuple(steps), total, False)
 
 
 def _bfs_path(g, p, q):

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    _search_threshold,
+    _least_multiple,
     flood_count,
     min_to_topple,
     min_to_topple_uniform,
-    stabilize,
     uniform_config,
 )
 from .errors import PreconditionError
@@ -417,11 +416,12 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
             sources = g.ordinary_ball(v, r)
             targets = g.ordinary_ball(v, outer)
 
-            def all_topple(h):
-                score = stabilize(g, uniform_config(g, sources, h)).score
-                return all(score[int(t)] >= 1 for t in targets)
+            def all_topple(res):
+                return all(res.score[int(t)] >= 1 for t in targets)
 
-            fhat = _search_threshold(all_topple, dmax)
+            fhat, _ = _least_multiple(
+                g, uniform_config(g, sources, 1), all_topple, dmax
+            )
             ratio = outer / r
             rows.append(SampleRow(family, n, i, v, r, outer, int(fhat)))
             key = round(ratio, 9)

@@ -27,7 +27,6 @@ __all__ = [
     "Multigraph",
     "SandpileGraph",
     "MetricQuery",
-    "FamilyConstants",
     "build_sandpile",
     "gen_family",
     "grid_sandpile",
@@ -135,10 +134,15 @@ class SandpileGraph:
         self._eta = None
         self._laplacian_lu = None
         self._field_cache: dict[int, object] = {}
+        self.coord_index = None
         if self.coords:
-            self.coord_index = {xy: v for v, xy in self.coords.items()}
-        else:
-            self.coord_index = None
+            self.coord_index = {}
+            for v, xy in self.coords.items():
+                other = self.coord_index.setdefault(xy, v)
+                if other != v:
+                    raise PreconditionError(
+                        f"coordinates {xy} given to both vertices {other} and {v}"
+                    )
 
     # -- validation ------------------------------------------------------
 
@@ -271,25 +275,6 @@ class MetricQuery:
     vertex_boundary: tuple[int, ...]
     edge_boundary: tuple[tuple[int, int, int], ...]
     eta: int
-
-
-@dataclass(frozen=True)
-class FamilyConstants:
-    """Polynomial-growth constants: delta_lo * r^alpha <= Vol <= delta_up * r^alpha.
-
-    ``delta_up`` doubles as the degree bound in families where the maximum
-    degree and the upper volume constant coincide (grids: both equal 4).
-    """
-
-    alpha: float
-    delta_lo: float
-    delta_up: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise PreconditionError("growth exponent must be positive")
-        if not (0 < self.delta_lo <= self.delta_up):
-            raise PreconditionError("need 0 < delta_lo <= delta_up")
 
 
 def metric_query(g: SandpileGraph, v: int, r: int) -> MetricQuery:
@@ -508,11 +493,35 @@ def graph_from_json(data: dict) -> SandpileGraph:
         edges = [(int(u), int(v), int(m)) for u, v, m in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed graph JSON: {exc}") from exc
-    coords = None
-    if "coords" in data and data["coords"] is not None:
-        coords = {int(k): tuple(int(c) for c in v) for k, v in data["coords"].items()}
+    coords = data.get("coords")
+    if coords is not None:
+        coords = _coords_from_json(coords, n)
     graph = Multigraph(n, edges, coords)
     return SandpileGraph(graph, sink)
+
+
+def _coords_from_json(raw, n: int) -> dict:
+    """``{vertex id: (x, y)}`` from JSON, with integer ids in range."""
+    if not isinstance(raw, dict):
+        raise PreconditionError("malformed graph JSON: coords must be an object")
+    coords = {}
+    for key, xy in raw.items():
+        try:
+            v = int(key)
+        except (TypeError, ValueError):
+            v = -1
+        if not 0 <= v < n:
+            raise PreconditionError(
+                f"malformed graph JSON: coords key {key!r} is not a vertex id"
+            )
+        pair = isinstance(xy, (list, tuple)) and len(xy) == 2
+        if not (pair and all(type(c) is int for c in xy)):
+            raise PreconditionError(
+                f"malformed graph JSON: coords of vertex {key} must be an "
+                f"integer pair, got {xy!r}"
+            )
+        coords[v] = tuple(xy)
+    return coords
 
 
 def save_graph(g: SandpileGraph, path) -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "potential_checks",
     "analytic_toppling_bounds",
     "dual_threshold_bound",
-    "verify_laplacian_identity",
     "DIRECT_SOLVE_LIMIT",
     "RESIDUAL_TOLERANCE",
 ]
@@ -273,25 +272,3 @@ def dual_threshold_bound(
         max_violation=max_violation,
     )
     return cert, objective
-
-
-def verify_laplacian_identity(g: SandpileGraph, result, counts) -> bool:
-    """Exact integer recheck of final = initial - L^T score, plus conservation."""
-    c0 = [int(c) for c in counts]
-    score = [int(s) for s in result.score]
-    stable = [int(s) for s in result.stable]
-    if len(c0) != g.n_ordinary or len(score) != g.n_ordinary:
-        return False
-    inflow = [0] * g.n_ordinary
-    for u, v, mult in g.edges:
-        if v == g.sink:
-            continue
-        inflow[u] += mult * score[v]
-        inflow[v] += mult * score[u]
-    for v in range(g.n_ordinary):
-        if stable[v] != c0[v] - int(g.degree[v]) * score[v] + inflow[v]:
-            return False
-    absorbed = sum(int(m) * s for m, s in zip(g.sink_mult, score))
-    if absorbed != result.sink_absorbed:
-        return False
-    return sum(c0) == sum(stable) + absorbed

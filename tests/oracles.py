@@ -6,6 +6,7 @@ values frozen into the tests were produced by these.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 def neighbor_lists(g):
@@ -194,3 +195,19 @@ def diamond_site_count(r):
 
 def square_site_count(r):
     return (2 * r + 1) ** 2
+
+
+def brute_least_multiple(g, base, done, limit=5000):
+    """Linear scan for the least x >= 1 whose stabilization of x * base
+    satisfies ``done``, which sees ``stable``, ``score`` and ``received``."""
+    nbrs = neighbor_lists(g)
+    for x in range(1, limit + 1):
+        counts = [x * c for c in base]
+        stable, score, _ = naive_stabilize(g, counts)
+        received = list(counts)
+        for a in range(g.n_ordinary):
+            for b in nbrs[a]:
+                received[b] += score[a]
+        if done(SimpleNamespace(stable=stable, score=score, received=received)):
+            return x
+    raise AssertionError(f"no multiple up to {limit}")

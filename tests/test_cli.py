@@ -207,6 +207,26 @@ def test_malformed_site(grid2_path):
                  "--site", "9,9"]) == 2
 
 
+@pytest.mark.parametrize("coords, named", [
+    ({"a": [0, 0]}, "'a'"),
+    ({"99": [0, 0]}, "'99'"),
+    ({"0": "ab"}, "'ab'"),
+    ([1, 2], "coords must be an object"),
+    ({"0": [0]}, "[0]"),
+])
+def test_malformed_coords_exit_2(tmp_path, capsys, coords, named):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "n_vertices": 3,
+        "sink": 2,
+        "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]],
+        "coords": coords,
+    }))
+    assert main(["flood", "--graph", str(path), "--site", "0",
+                 "--radius", "0"]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sandlab.cli", "--help"],

@@ -240,6 +240,42 @@ def test_min_to_topple_brute_agreement():
             assert min_to_topple(g, v, w) == oracles.brute_min_to_topple(g, v, w)
 
 
+def _topples(w):
+    return lambda res: res.score[w] >= 1
+
+
+def _floods(targets):
+    return lambda res: all(res.received[t] > 0 for t in targets)
+
+
+def _all_topple(res):
+    return min(res.score) >= 1
+
+
+@pytest.mark.parametrize("family, n, placement, done, start", [
+    ("grid", 2, {3: 1}, _topples(0), 4),
+    ("grid", 3, {4: 1}, _floods(range(9)), 1),
+    ("grid", 3, {0: 1, 1: 1, 3: 1}, _all_topple, 1),
+    ("grid", 4, {5: 2, 10: 1}, _topples(15), 4),
+    ("grid", 4, {0: 3}, _floods([5, 15]), 1),
+    ("line", 4, {0: 1}, _all_topple, 3),
+    ("line", 5, {1: 1, 2: 1}, _floods([4]), 1),
+    ("line", 5, {2: 2}, _topples(0), 64),
+])
+def test_least_multiple_returns_its_stabilization(family, n, placement, done, start):
+    g = grid_sandpile(n) if family == "grid" else line_sandpile(n)
+    base = [placement.get(v, 0) for v in range(g.n_ordinary)]
+    x, res = engine_mod._least_multiple(g, base, done, start)
+    fresh = stabilize(g, [x * c for c in base])
+    assert res.stable == fresh.stable
+    assert res.score == fresh.score
+    assert res.received == fresh.received
+    assert res.sink_absorbed == fresh.sink_absorbed
+    assert done(res)
+    assert not done(stabilize(g, [(x - 1) * c for c in base]))
+    assert x == oracles.brute_least_multiple(g, base, done)
+
+
 def test_received_counts_placement(grid2):
     res = stabilize(grid2, point_config(grid2, 0, 1))
     assert res.received[0] == 1

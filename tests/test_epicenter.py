@@ -9,6 +9,7 @@ from sandlab import (
     PreconditionError,
     ResourceLimitError,
     classify_path,
+    engine_stats,
     estimate_alpha,
     estimate_hlc,
     estimate_mv,
@@ -229,7 +230,10 @@ def test_single_step_guards():
 def test_propagate_grid17_frozen():
     g = grid_sandpile(17)
     bp = BoundParams.grid_defaults()
+    before = engine_stats()["stabilizations"]
     tr = propagate(g, g.vertex_at(1, 1), g.vertex_at(15, 15), bp)
+    # every stabilization is a search probe; none is repeated afterwards
+    assert engine_stats()["stabilizations"] - before == 29
     assert tr.k0 == 4
     assert len(tr.steps) == 11
     assert [s.multiplier for s in tr.steps] == [4, 4, 2, 2, 2, 2, 2, 2, 2, 1, 2]

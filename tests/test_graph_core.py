@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandlab import (
-    FamilyConstants,
     Multigraph,
     PreconditionError,
     SandpileGraph,
@@ -227,14 +226,6 @@ def test_metric_query_rejects_sink_contact():
         metric_query(g, center, 3)
 
 
-def test_family_constants_validation():
-    FamilyConstants(alpha=2.0, delta_lo=1.0, delta_up=4.0)
-    with pytest.raises(PreconditionError):
-        FamilyConstants(alpha=0.0, delta_lo=1.0, delta_up=4.0)
-    with pytest.raises(PreconditionError):
-        FamilyConstants(alpha=2.0, delta_lo=2.0, delta_up=1.0)
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -259,6 +250,16 @@ def test_json_roundtrip(tmp_path):
 def test_json_rejects_malformed():
     with pytest.raises(PreconditionError, match="malformed graph JSON"):
         graph_from_json({"n_vertices": 3})
+
+
+def test_duplicate_coordinates_rejected():
+    data = graph_to_json(grid_sandpile(2))
+    data["coords"]["3"] = [0, 0]
+    with pytest.raises(PreconditionError, match=r"\(0, 0\) .* vertices 0 and 3"):
+        graph_from_json(data)
+    ambient = Multigraph(3, [(0, 1, 1), (1, 2, 1)], {0: (0, 0), 1: (0, 0)})
+    with pytest.raises(PreconditionError, match="given to both vertices"):
+        build_sandpile(ambient, [0, 1])
 
 
 def test_json_edges_are_plain_ints():

@@ -17,8 +17,9 @@ from sandlab import (
     potential_checks,
     solve_potential,
     stabilize,
-    verify_laplacian_identity,
 )
+from sandlab import engine as engine_mod
+from sandlab.errors import InternalError
 
 import oracles
 
@@ -182,18 +183,25 @@ def test_weak_duality_sampled(grid8):
 # -- identity recheck -------------------------------------------------------
 
 
+def _rechecks(g, res, c):
+    received = engine_mod._balance_check(
+        g, c, res.stable, res.score, res.sink_absorbed
+    )
+    return received is not None
+
+
 def test_verify_identity_accepts_real_runs(grid4):
     rng = np.random.default_rng(31)
     for _ in range(10):
         c = rng.integers(0, 10, size=grid4.n_ordinary).tolist()
         res = stabilize(grid4, c)
-        assert verify_laplacian_identity(grid4, res, c)
+        assert _rechecks(grid4, res, c)
 
 
 def test_verify_identity_rejects_tampering(grid2):
     c = point_config(grid2, 3, 30)
     res = stabilize(grid2, c)
-    assert verify_laplacian_identity(grid2, res, c)
+    assert _rechecks(grid2, res, c)
 
     bad_score = res.__class__(
         stable=res.stable,
@@ -202,7 +210,11 @@ def test_verify_identity_rejects_tampering(grid2):
         topplings_total=res.topplings_total,
         received=res.received,
     )
-    assert not verify_laplacian_identity(grid2, bad_score, c)
+    assert not _rechecks(grid2, bad_score, c)
+    failures = engine_mod.engine_stats()["identity_failures"]
+    with pytest.raises(InternalError, match="audit failed"):
+        engine_mod._audit(grid2, c, bad_score.stable, bad_score.score)
+    assert engine_mod.engine_stats()["identity_failures"] == failures + 1
 
     bad_absorbed = res.__class__(
         stable=res.stable,
@@ -211,6 +223,4 @@ def test_verify_identity_rejects_tampering(grid2):
         topplings_total=res.topplings_total,
         received=res.received,
     )
-    assert not verify_laplacian_identity(grid2, bad_absorbed, c)
-
-    assert not verify_laplacian_identity(grid2, res, c + [0])
+    assert not _rechecks(grid2, bad_absorbed, c)
