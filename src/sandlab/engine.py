@@ -52,7 +52,7 @@ __all__ = [
 DEFAULT_STATE_LIMIT = 1 << 20
 
 # counts below this total take the vectorized int64 path; larger ones use
-# exact Python integers (the line family grows thresholds exponentially)
+# the exact fifo worklist (the line family grows thresholds exponentially)
 _INT64_SAFE_TOTAL = 1 << 52
 
 _STATS = {"stabilizations": 0, "identity_checks": 0, "identity_failures": 0}
@@ -171,16 +171,17 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     """Stabilize ``counts`` on ``g`` and return a ``StabilizationResult``.
 
     ``policy`` picks the internal toppling order: "batch" (default) fires
-    every unstable vertex its full quota per sweep, "fifo"/"lifo" run a
-    worklist, and "random" pops the worklist in seeded random order.  The
-    result is policy independent; only performance differs.
+    every unstable vertex its full quota per int64 sweep and hands runs that
+    could outgrow int64 to "fifo"; "fifo"/"lifo" run an exact worklist, and
+    "random" pops the worklist in seeded random order.  The result is
+    policy independent; only performance differs.
     """
     c0 = normalize_config(g, counts)
     if policy == "batch":
         if sum(c0) < _INT64_SAFE_TOTAL:
             stable, score = _stabilize_batch_int64(g, c0)
         else:
-            stable, score = _stabilize_batch_bigint(g, c0)
+            stable, score = _stabilize_worklist(g, c0, "fifo", None)
     elif policy in ("fifo", "lifo", "random"):
         stable, score = _stabilize_worklist(g, c0, policy, seed)
     else:
@@ -205,34 +206,8 @@ def _stabilize_batch_int64(g, c0):
             raise InternalError("batch stabilization failed to converge")
         if z.max() > _INT64_SAFE_TOTAL:
             # fall back to exact integers rather than risk 64-bit overflow
-            return _stabilize_batch_bigint(g, c0)
+            return _stabilize_worklist(g, c0, "fifo", None)
     return c.tolist(), z.tolist()
-
-
-def _stabilize_batch_bigint(g, c0):
-    deg = [int(d) for d in g.degree]
-    nbrs = [g.ordinary_neighbors(v) for v in range(g.n_ordinary)]
-    c = list(c0)
-    z = [0] * g.n_ordinary
-    rounds = 0
-    while True:
-        fired = False
-        k = [cv // dv for cv, dv in zip(c, deg)]
-        for v, kv in enumerate(k):
-            if kv:
-                fired = True
-                z[v] += kv
-                c[v] -= kv * deg[v]
-        if not fired:
-            break
-        for v, kv in enumerate(k):
-            if kv:
-                for u, mult in nbrs[v]:
-                    c[u] += kv * mult
-        rounds += 1
-        if rounds > 50_000_000:
-            raise InternalError("batch stabilization failed to converge")
-    return c, z
 
 
 def _stabilize_worklist(g, c0, policy, seed):

@@ -113,8 +113,8 @@ class SandpileGraph:
         if m < 1:
             raise PreconditionError("sandpile graph needs at least one ordinary vertex")
         self._neighbors: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
-        sink_mult = np.zeros(m, dtype=np.int64)
-        degree = np.zeros(m, dtype=np.int64)
+        sink_mult = [0] * m
+        degree = [0] * m
         for u, v, mult in self.edges:
             self._neighbors[u].append((v, mult))
             self._neighbors[v].append((u, mult))
@@ -123,17 +123,15 @@ class SandpileGraph:
                     degree[end] += mult
                     if other == self.sink:
                         sink_mult[end] += mult
-        self.degree = degree
-        self.sink_mult = sink_mult
-        if (degree < 1).any():
-            bad = int(np.flatnonzero(degree < 1)[0])
-            raise PreconditionError(f"vertex {bad} has degree 0")
+        for v, d in enumerate(degree):  # exact sums: int64 would wrap silently
+            if not 1 <= d < 1 << 63:
+                raise PreconditionError(f"vertex {v} has degree {d}")
+        self.degree = np.array(degree, dtype=np.int64)
+        self.sink_mult = np.array(sink_mult, dtype=np.int64)
         self._check_connected_to_sink()
 
         self._adjacency = None
         self._eta = None
-        self._laplacian_lu = None
-        self._field_cache: dict[int, object] = {}
         self.coord_index = None
         if self.coords:
             self.coord_index = {}
@@ -491,8 +489,12 @@ def graph_from_json(data: dict) -> SandpileGraph:
         n = int(data["n_vertices"])
         sink = int(data["sink"])
         edges = [(int(u), int(v), int(m)) for u, v, m in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed graph JSON: {exc}") from exc
+    if n > len(edges) + 1:  # checked before n sizes anything
+        raise PreconditionError(
+            f"malformed graph JSON: {len(edges)} edges cannot connect {n} vertices"
+        )
     coords = data.get("coords")
     if coords is not None:
         coords = _coords_from_json(coords, n)

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sandlab import load_graph, solve_potential
 from sandlab.cli import main
@@ -134,6 +138,23 @@ def test_potentials_csv(grid2_path, tmp_path):
         assert float(val) == pytest.approx(fld.values[int(v)], abs=1e-15)
 
 
+def test_potentials_csv_is_direct_lu_solve(tmp_path):
+    path, out = tmp_path / "g8.json", tmp_path / "pot.csv"
+    assert main(["gen", "grid", "--n", "8", "-o", str(path)]) == 0
+    assert main(["potentials", "--graph", str(path),
+                 "--pole", "3,4", "-o", str(out)]) == 0
+    g = load_graph(path)
+    w = g.vertex_at(3, 4)
+    rhs = np.zeros(g.n_ordinary)
+    rhs[w] = 1.0
+    x = spla.splu(sp.csc_matrix(g.laplacian().astype(float))).solve(rhs)
+    values = x / x[w]
+    want = "vertex,value\n" + "".join(
+        f"{v},{float(values[v])!r}\n" for v in range(g.n_ordinary)
+    )
+    assert out.read_bytes() == want.encode()
+
+
 # -- estimate ---------------------------------------------------------------
 
 
@@ -225,6 +246,20 @@ def test_malformed_coords_exit_2(tmp_path, capsys, coords, named):
     assert main(["flood", "--graph", str(path), "--site", "0",
                  "--radius", "0"]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n_vertices": Infinity, "sink": 1, "edges": [[0, 1, 1]]}',
+    '{"n_vertices": 2, "sink": 1, "edges": [[0, 1, -1e400]]}',
+    '{"n_vertices": %d, "sink": 1, "edges": [[0, 1, 1]]}' % 10**12,
+])
+def test_unbuildable_graph_json_exits_2_fast(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["stabilize", "--graph", str(path), "--uniform", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "malformed graph JSON" in capsys.readouterr().err
 
 
 def test_module_entry_point():

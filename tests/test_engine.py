@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandlab import (
+    Multigraph,
     PreconditionError,
     ResourceLimitError,
+    SandpileGraph,
     UniformThreshold,
     engine_stats,
     flood_count,
@@ -336,11 +338,32 @@ def test_line_growth_doubles():
 
 
 def test_bigint_path_matches_int64():
+    # the exact-integer path for large totals is the fifo worklist
     g = grid_sandpile(3)
     c = [10**6 if v == 4 else 0 for v in range(9)]
     fast = engine_mod._stabilize_batch_int64(g, c)
-    slow = engine_mod._stabilize_batch_bigint(g, c)
+    slow = engine_mod._stabilize_worklist(g, c, "fifo", None)
     assert fast == slow
+
+
+def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
+    # a path hanging off the sink: the far end topples ~10x its particles
+    g = SandpileGraph(Multigraph(11, [(i, i + 1, 1) for i in range(10)]), 10)
+    c = [1000] + [0] * 9
+    want = engine_mod._stabilize_batch_int64(g, c)
+    assert max(want[1]) > 2000
+    calls = []
+    worklist = engine_mod._stabilize_worklist
+
+    def spy(*args):
+        calls.append(args[2:])
+        return worklist(*args)
+
+    monkeypatch.setattr(engine_mod, "_INT64_SAFE_TOTAL", 2000)
+    monkeypatch.setattr(engine_mod, "_stabilize_worklist", spy)
+    res = stabilize(g, c)
+    assert calls == [("fifo", None)]
+    assert (res.stable, res.score) == want
 
 
 def test_huge_placement_is_exact(line2):

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandlab import (
@@ -260,6 +261,59 @@ def test_duplicate_coordinates_rejected():
     ambient = Multigraph(3, [(0, 1, 1), (1, 2, 1)], {0: (0, 0), 1: (0, 0)})
     with pytest.raises(PreconditionError, match="given to both vertices"):
         build_sandpile(ambient, [0, 1])
+
+
+_ODD_JSON_VALUES = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([math.inf, -math.inf, math.nan, -1e400, 2.5, 2**62, 2**63,
+                     10**12, 10**30, -(10**30), True, None, "3", "x", [], {},
+                     [0, 1], {"0": 1}]),
+)
+
+
+@st.composite
+def _graph_documents(draw):
+    """A grid-2 graph document with one or two entries replaced or dropped."""
+    data = graph_to_json(grid_sandpile(2))
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(
+            ["n_vertices", "sink", "edges", "edge", "endpoint", "multiplicity",
+             "coords", "coord", "drop", "document"]
+        ))
+        value = draw(_ODD_JSON_VALUES)
+        edges, coords = data.get("edges"), data.get("coords")
+        if where in ("edge", "endpoint", "multiplicity"):
+            if not (isinstance(edges, list) and edges):
+                continue
+            i = draw(st.integers(0, len(edges) - 1))
+            if where == "edge":
+                edges[i] = value
+            elif isinstance(edges[i], list) and len(edges[i]) == 3:
+                edges[i][draw(st.integers(0, 1)) if where == "endpoint" else 2] = value
+        elif where == "coord" and isinstance(coords, dict):
+            coords[draw(st.sampled_from(["0", "3", "4", "-1", "a"]))] = value
+        elif where == "drop":
+            data.pop(draw(st.sampled_from(sorted(data))), None)
+        elif where == "document":
+            return value
+        elif where != "coord":
+            data[where] = value
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_graph_documents())
+@example(data={"n_vertices": math.inf, "sink": 1, "edges": [[0, 1, 1]]})
+@example(data={"n_vertices": 2, "sink": 1, "edges": [[0, 1, -math.inf]]})
+@example(data={"n_vertices": 10**12, "sink": 1, "edges": [[0, 1, 1]]})
+@example(data={"n_vertices": 3, "sink": 2, "edges": [[0, 1, 2**62], [0, 2, 2**62]]})
+def test_graph_from_json_builds_or_raises_precondition(data):
+    try:
+        g = graph_from_json(data)
+    except PreconditionError:
+        return
+    assert isinstance(g, SandpileGraph)
+    assert g.n_ordinary >= 1 and (g.degree >= 1).all()
 
 
 def test_json_edges_are_plain_ints():

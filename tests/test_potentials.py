@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,6 +21,7 @@ from sandlab import (
     stabilize,
 )
 from sandlab import engine as engine_mod
+from sandlab import potentials as potentials_mod
 from sandlab.errors import InternalError
 
 import oracles
@@ -80,6 +83,40 @@ def test_resistance_symmetry(grid4):
 def test_resistance_rejects_equal_endpoints(grid2):
     with pytest.raises(PreconditionError, match="distinct"):
         effective_resistance(grid2, 1, 1)
+
+
+# -- solver -----------------------------------------------------------------
+
+
+def test_cg_path_matches_lu(monkeypatch):
+    lu_graph = grid_sandpile(8)
+    poles = (0, 27, 63)
+    pairs = ((0, 63), (9, 36), (lu_graph.sink, 27))
+    lu_fields = [solve_potential(lu_graph, w) for w in poles]
+    lu_reff = [effective_resistance(lu_graph, u, v) for u, v in pairs]
+    assert potentials_mod._solver(lu_graph).lu is not None
+
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
+    g = grid_sandpile(8)
+    for w, lu in zip(poles, lu_fields):
+        fld = solve_potential(g, w)
+        assert np.abs(fld.values - lu.values).max() <= 1e-9
+        assert fld.residual <= potentials_mod.RESIDUAL_TOLERANCE
+    assert potentials_mod._solver(g).lu is None
+    for (u, v), want in zip(pairs, lu_reff):
+        r = effective_resistance(g, u, v)
+        assert abs(r - effective_resistance(g, v, u)) <= 1e-9
+        assert abs(r - want) <= 1e-9
+
+
+def test_solver_state_dies_with_graph():
+    g = grid_sandpile(4)
+    solve_potential(g, 5)
+    effective_resistance(g, 0, 15)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 # -- laws -------------------------------------------------------------------
