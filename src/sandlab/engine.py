@@ -55,6 +55,9 @@ DEFAULT_STATE_LIMIT = 1 << 20
 # the exact fifo worklist (the line family grows thresholds exponentially)
 _INT64_SAFE_TOTAL = 1 << 52
 
+# int64 sums of two counts below this bound are exact
+_INT64_HEADROOM = 1 << 62
+
 _STATS = {"stabilizations": 0, "identity_checks": 0, "identity_failures": 0}
 
 
@@ -128,14 +131,14 @@ def normalize_config(g: SandpileGraph, counts) -> list[int]:
             g.check_ordinary(int(v), "configuration site")
             values[int(v)] = int(c)
     else:
-        values = [int(c) for c in counts]
+        values = list(map(int, counts))
         if len(values) != g.n_ordinary:
             raise PreconditionError(
                 f"configuration has {len(values)} entries, expected {g.n_ordinary}"
             )
-    for v, c in enumerate(values):
-        if c < 0:
-            raise PreconditionError(f"negative count at vertex {v}")
+    if values and min(values) < 0:
+        v = next(v for v, c in enumerate(values) if c < 0)
+        raise PreconditionError(f"negative count at vertex {v}")
     return values
 
 
@@ -249,7 +252,7 @@ def _audit(g, c0, stable, score):
     """Close out a stabilization with the exact balance check, or raise."""
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
-    absorbed = sum(int(m) * s for m, s in zip(g.sink_mult, score))
+    absorbed = sum(int(mult) * score[v] for v, mult in g.neighbors(g.sink))
     received = _balance_check(g, c0, stable, score, absorbed)
     if received is None:
         _STATS["identity_failures"] += 1
@@ -270,7 +273,59 @@ def _balance_check(g, c0, stable, score, absorbed):
     nonnegative toppling counts ``score`` and exactly ``absorbed``
     particles reach the sink.  Returns the per-vertex received counts
     (initial placement plus inflow) when it holds, else None.
+
+    The check is one int64 product with the cached ``g.adjacency()`` when
+    the inputs prove that nothing can overflow: with m ordinary vertices,
+    every per-vertex term and every sum it forms is bounded in magnitude by
+
+        max|score| * 2 * max(degree) + m * max|c0|  <  2**62
+
+    (``stable`` is summed only once the identity and the ranges hold, when
+    its sum is at most that of ``c0``).
+    Inputs past the bound, such as the line family's counts, and inputs of
+    the wrong length take the exact Python-int loop of
+    ``_balance_check_exact``.  Both paths accept and reject the same inputs
+    and return the same list.
     """
+    arrays = _int64_arrays(g, c0, stable, score)
+    if arrays is None:
+        return _balance_check_exact(g, c0, stable, score, absorbed)
+    c, s, z = arrays
+    deg = g.degree
+    inflow = g.adjacency() @ z
+    if not (
+        np.array_equal(s, c - deg * z + inflow)
+        and (s >= 0).all()
+        and (s < deg).all()
+        and (z >= 0).all()
+    ):
+        return None
+    if int(c.sum()) != int(s.sum()) + absorbed:
+        return None
+    return (c + inflow).tolist()
+
+
+def _int64_arrays(g, c0, stable, score):
+    """``c0``, ``stable``, ``score`` as int64 arrays when the bound of
+    ``_balance_check`` holds for them, else None."""
+    m = g.n_ordinary
+    if not len(c0) == len(stable) == len(score) == m:
+        return None
+    try:
+        c, s, z = (np.fromiter(x, np.int64, m) for x in (c0, stable, score))
+    except OverflowError:
+        return None
+    bound = _magnitude(z) * 2 * int(g.degree.max()) + m * _magnitude(c)
+    return (c, s, z) if bound < _INT64_HEADROOM else None
+
+
+def _magnitude(a) -> int:
+    """Largest absolute entry of an int64 array, as a Python int."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def _balance_check_exact(g, c0, stable, score, absorbed):
+    """``_balance_check`` in Python integers, for inputs of any size."""
     deg = [int(d) for d in g.degree]
     inflow = [0] * g.n_ordinary
     for u, v, mult in g.edges:
@@ -298,28 +353,80 @@ def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
     that stabilization.  Doubles an upper bracket from ``start`` and then
     bisects; the caller guarantees monotonicity (larger placements only
     add topplings).
+
+    Each probe pays only for the topplings past the last failing count
+    ``lo``.  By the abelian property (Dhar 1990) and the least action
+    principle (Fey, Levine & Peres 2010),
+
+        stabilize(x * base) = stabilize(stable(lo) + (x - lo) * base)
+
+    with toppling counts adding.  So a probe stabilizes, with the full
+    audit, only ``stable(lo) + (x - lo) * base`` and composes the result
+    for ``x * base``: ``score``, ``sink_absorbed`` and ``topplings_total``
+    add, and ``received`` is ``received(lo) - stable(lo)`` plus the step's
+    ``received``.  The result at ``lo = 0`` is the empty stabilization, so
+    the first probes stabilize ``x * base`` itself.
     """
+    base = _counts(base)
+    zero = np.zeros(g.n_ordinary, dtype=np.int64)
+    # stable, score, received - stable, sink_absorbed, topplings_total at lo
+    at_lo = (zero, zero, zero, 0, 0)
 
     def probe(x):
-        res = stabilize(g, [x * c for c in base])
-        return res if done(res) else None
+        stable_lo, score_lo, spent_lo, absorbed_lo, topplings_lo = at_lo
+        step = stabilize(g, (stable_lo + _times(base, x - lo)).tolist())
+        score = _counts(score_lo + _counts(step.score))
+        received = _counts(spent_lo + _counts(step.received))
+        res = StabilizationResult(
+            stable=step.stable,
+            score=score.tolist(),
+            sink_absorbed=absorbed_lo + step.sink_absorbed,
+            topplings_total=topplings_lo + step.topplings_total,
+            received=received.tolist(),
+        )
+        # the audited identity gives received - stable = degree * score,
+        # which is at most received, so the product cannot wrap
+        spent = g.degree * score
+        return res, (received - spent, score, spent,
+                     res.sink_absorbed, res.topplings_total)
 
     lo, hi = 0, max(1, int(start))
-    best = probe(hi)
-    while best is None:
-        lo, hi = hi, hi * 2
+    best, state = probe(hi)
+    while not done(best):
+        lo, hi, at_lo = hi, hi * 2, state
         if hi > 1 << 200:
             raise InternalError("threshold search diverged")
-        best = probe(hi)
+        best, state = probe(hi)
     # invariant: best is the result at hi and passes done; every answer is above lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        res = probe(mid)
-        if res is not None:
+        res, state = probe(mid)
+        if done(res):
             hi, best = mid, res
         else:
-            lo = mid
+            lo, at_lo = mid, state
     return hi, best
+
+
+def _counts(values):
+    """Nonnegative counts as an exact array: int64 while every entry is
+    below 2**62, so that adding two such arrays cannot wrap, else Python
+    ints (object dtype)."""
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            return np.array(values, dtype=object)
+    if values.dtype != object and values.max(initial=0) >= _INT64_HEADROOM:
+        return values.astype(object)
+    return values
+
+
+def _times(counts, k: int):
+    """Exact ``k * counts`` for a ``_counts`` array and an int k >= 0."""
+    if counts.dtype != object and k * int(counts.max(initial=0)) < _INT64_HEADROOM:
+        return counts * k
+    return _counts(counts.astype(object) * k)
 
 
 def min_to_topple(g: SandpileGraph, v: int, w: int) -> int:

@@ -197,17 +197,44 @@ def square_site_count(r):
     return (2 * r + 1) ** 2
 
 
+def naive_outcome(g, counts):
+    """``stable``, ``score`` and ``received`` of a naive stabilization."""
+    stable, score, _ = naive_stabilize(g, counts)
+    received = list(counts)
+    for a, nbrs in enumerate(neighbor_lists(g)):
+        for b in nbrs:
+            received[b] += score[a]
+    return SimpleNamespace(stable=stable, score=score, received=received)
+
+
 def brute_least_multiple(g, base, done, limit=5000):
     """Linear scan for the least x >= 1 whose stabilization of x * base
     satisfies ``done``, which sees ``stable``, ``score`` and ``received``."""
-    nbrs = neighbor_lists(g)
     for x in range(1, limit + 1):
-        counts = [x * c for c in base]
-        stable, score, _ = naive_stabilize(g, counts)
-        received = list(counts)
-        for a in range(g.n_ordinary):
-            for b in nbrs[a]:
-                received[b] += score[a]
-        if done(SimpleNamespace(stable=stable, score=score, received=received)):
+        if done(naive_outcome(g, [x * c for c in base])):
             return x
     raise AssertionError(f"no multiple up to {limit}")
+
+
+def bisect_probes(g, base, done, start=1):
+    """Probes of a from-scratch bracket-and-bisect search for the least
+    x >= 1 whose stabilization of x * base satisfies ``done``: doubling
+    from ``start``, then bisection.  Returns (x, passed, stable) per probe
+    in order, each stabilized naively from x * base."""
+    probes = []
+
+    def probe(x):
+        out = naive_outcome(g, [x * c for c in base])
+        probes.append((x, bool(done(out)), out.stable))
+        return probes[-1][1]
+
+    lo, hi = 0, max(1, start)
+    while not probe(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return probes

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sandlab import load_graph, solve_potential
 from sandlab.cli import main
@@ -260,6 +262,55 @@ def test_unbuildable_graph_json_exits_2_fast(tmp_path, capsys, text):
     assert main(["stabilize", "--graph", str(path), "--uniform", "1"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "malformed graph JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, said", [
+    (b"\xff\xfe{", "is not valid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply"),
+], ids=["not-utf8", "nested-100000-deep"])
+def test_unreadable_graph_file_exits_2(tmp_path, capsys, content, said):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main(["stabilize", "--graph", str(path), "--uniform", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and said in err
+
+
+_JSON_BYTES = st.lists(st.sampled_from(list(b'0123456789-+.eE[]{},:" aIN')),
+                       min_size=1, max_size=4).map(bytes)
+
+
+@st.composite
+def _mutated(draw, original):
+    """``original`` with a few byte runs replaced, inserted or deleted."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        chunk = draw(st.one_of(st.binary(min_size=1, max_size=4), _JSON_BYTES))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "replace":
+            data[i:i + len(chunk)] = chunk
+        elif op == "insert":
+            data[i:i] = chunk
+        else:
+            del data[i:i + len(chunk)]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_stabilize_survives_mutated_graph_files(grid2_path, fuzz_path, data):
+    with open(grid2_path, "rb") as fh:
+        original = fh.read()
+    fuzz_path.write_bytes(original if data is None else data.draw(_mutated(original)))
+    code = main(["stabilize", "--graph", str(fuzz_path), "--uniform", "1"])
+    assert code in (0, 1, 2, 3)
 
 
 def test_module_entry_point():

@@ -278,11 +278,135 @@ def test_least_multiple_returns_its_stabilization(family, n, placement, done, st
     assert x == oracles.brute_least_multiple(g, base, done)
 
 
+@pytest.mark.parametrize("search", ["point", "uniform", "flood"])
+def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search):
+    g = grid_sandpile(9)
+    v, w = g.vertex_at(2, 2), g.vertex_at(5, 4)
+    if search == "point":
+        base, done, start = point_config(g, v, 1), _topples(w), int(g.degree[w])
+        run = lambda: min_to_topple(g, v, w)  # noqa: E731
+    elif search == "uniform":
+        sites = g.ordinary_ball(v, 1)
+        base, done, start = uniform_config(g, sites, 1), _topples(w), 1
+        run = lambda: min_to_topple_uniform(g, sites, w).h_topple  # noqa: E731
+    else:
+        ball = g.ordinary_ball(v, 2)
+        base, done, start = point_config(g, v, 1), _floods(ball), 1
+        run = lambda: flood_count(g, v, ball)  # noqa: E731
+    calls = []
+    real = engine_mod.stabilize
+
+    def spy(g_, counts):
+        calls.append((list(counts), real(g_, counts)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(engine_mod, "stabilize", spy)
+    answer = run()
+    want = oracles.bisect_probes(g, base, done, start)
+    assert len(calls) == len(want)
+    assert answer == min(x for x, passed, _ in want if passed)
+    lo, stable_lo = 0, [0] * g.n_ordinary
+    for (x, passed, stable), (counts, step) in zip(want, calls):
+        assert counts == [s + (x - lo) * b for s, b in zip(stable_lo, base)]
+        assert step.stable == stable
+        if not passed:
+            lo, stable_lo = x, step.stable
+    assert lo == answer - 1
+
+
 def test_received_counts_placement(grid2):
     res = stabilize(grid2, point_config(grid2, 0, 1))
     assert res.received[0] == 1
     assert res.flooded([0])
     assert not res.flooded([3])
+
+
+# -- audit ------------------------------------------------------------------
+
+
+def _both_checks(g, c0, stable, score, absorbed):
+    fast = engine_mod._balance_check(g, c0, stable, score, absorbed)
+    exact = engine_mod._balance_check_exact(g, c0, stable, score, absorbed)
+    assert fast == exact
+    return fast
+
+
+@pytest.mark.parametrize("g", [grid_sandpile(3), grid_sandpile(6), line_sandpile(5),
+                               line_sandpile(12)], ids=["grid3", "grid6", "line5", "line12"])
+def test_int64_audit_agrees_with_exact_audit(g, monkeypatch):
+    rng = np.random.default_rng(5)
+    deg = [int(d) for d in g.degree]
+    runs = []
+    for _ in range(6):
+        c = rng.integers(0, 3 * max(deg), size=g.n_ordinary).tolist()
+        runs.append((c, stabilize(g, c)))
+    v = g.n_ordinary // 2
+    runs.append((point_config(g, v, 500), stabilize(g, point_config(g, v, 500))))
+
+    def unexpected(*args):
+        raise AssertionError("small inputs must take the int64 path")
+
+    exact = engine_mod._balance_check_exact
+    monkeypatch.setattr(engine_mod, "_balance_check_exact", unexpected)
+    for c, res in runs:
+        fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
+        assert fast == res.received
+        assert fast == exact(g, c, res.stable, res.score, res.sink_absorbed)
+    monkeypatch.setattr(engine_mod, "_balance_check_exact", exact)
+
+    c, res = runs[-1]
+    stable, score, absorbed = res.stable, res.score, res.sink_absorbed
+    bumped = lambda xs, i, d: [x + d * (j == i) for j, x in enumerate(xs)]  # noqa: E731
+    assert _both_checks(g, c, bumped(stable, v, 1), score, absorbed) is None
+    assert _both_checks(g, c, stable, [z + 1 for z in score], absorbed) is None
+    assert _both_checks(g, c, stable, bumped(score, v, 1), absorbed) is None
+    assert _both_checks(g, c, stable, score, absorbed + 1) is None
+    # a negative score that balances exactly: un-topple v once from a stable state
+    s0 = [d - 1 for d in deg]
+    c_neg = bumped(s0, v, -deg[v])
+    for u, mult in g.ordinary_neighbors(v):
+        c_neg[u] += mult
+    neg = bumped([0] * g.n_ordinary, v, -1)
+    assert _both_checks(g, c_neg, s0, neg, -int(g.sink_mult[v])) is None
+    assert _both_checks(g, c_neg, s0, [0] * g.n_ordinary, 0) is None
+    # an unstable entry that balances exactly: nothing toppled
+    unstable = bumped(s0, v, 1)
+    assert _both_checks(g, unstable, unstable, [0] * g.n_ordinary, 0) is None
+    assert _both_checks(g, s0, s0, [0] * g.n_ordinary, 0) == s0
+
+
+def test_int64_audit_bound_edge_takes_exact_path(monkeypatch):
+    g = line_sandpile(2)
+
+    def bound(n):
+        res = stabilize(g, [n, 0])
+        return max(res.score) * 2 * int(g.degree.max()) + g.n_ordinary * n
+
+    # least drop whose audit bound reaches 2**62
+    lo, hi = 1, 1 << 62
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) >= 1 << 62 else (mid, hi)
+    assert bound(hi) >= 1 << 62 > bound(lo)
+    assert hi > 1 << 58
+
+    calls = []
+    exact = engine_mod._balance_check_exact
+
+    def spy(*args):
+        calls.append(args[1])
+        return exact(*args)
+
+    monkeypatch.setattr(engine_mod, "_balance_check_exact", spy)
+    for n in (lo, hi):
+        c = [n, 0]
+        res = stabilize(g, c)
+        assert sum(res.stable) + res.sink_absorbed == n
+        fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
+        assert fast == res.received == exact(g, c, res.stable, res.score, res.sink_absorbed)
+    # the bound is what selects the path: each audit of the drop past it
+    # (one inside stabilize, one above) ran the exact loop, none below it
+    assert calls == [[hi, 0], [hi, 0]]
 
 
 # -- transience -------------------------------------------------------------
