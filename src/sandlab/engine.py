@@ -369,14 +369,14 @@ def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
     """
     base = _counts(base)
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
-    # stable, score, received - stable, sink_absorbed, topplings_total at lo
+    # stable, score, received, sink_absorbed, topplings_total at lo
     at_lo = (zero, zero, zero, 0, 0)
 
     def probe(x):
-        stable_lo, score_lo, spent_lo, absorbed_lo, topplings_lo = at_lo
+        stable_lo, score_lo, received_lo, absorbed_lo, topplings_lo = at_lo
         step = stabilize(g, (stable_lo + _times(base, x - lo)).tolist())
         score = _counts(score_lo + _counts(step.score))
-        received = _counts(spent_lo + _counts(step.received))
+        received = _counts(_counts(received_lo - stable_lo) + _counts(step.received))
         res = StabilizationResult(
             stable=step.stable,
             score=score.tolist(),
@@ -384,10 +384,7 @@ def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
             topplings_total=topplings_lo + step.topplings_total,
             received=received.tolist(),
         )
-        # the audited identity gives received - stable = degree * score,
-        # which is at most received, so the product cannot wrap
-        spent = g.degree * score
-        return res, (received - spent, score, spent,
+        return res, (_counts(step.stable), score, received,
                      res.sink_absorbed, res.topplings_total)
 
     lo, hi = 0, max(1, int(start))

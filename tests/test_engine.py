@@ -278,6 +278,56 @@ def test_least_multiple_returns_its_stabilization(family, n, placement, done, st
     assert x == oracles.brute_least_multiple(g, base, done)
 
 
+def _scratch_least_multiple(g, base, done, start):
+    """Bracket-and-bisect that stabilizes ``x * base`` from scratch per probe."""
+    lo, hi = 0, start
+    best = stabilize(g, [hi * c for c in base])
+    while not done(best):
+        lo, hi = hi, 2 * hi
+        best = stabilize(g, [hi * c for c in base])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        res = stabilize(g, [mid * c for c in base])
+        if done(res):
+            hi, best = mid, res
+        else:
+            lo = mid
+    return hi, best
+
+
+def _heavy_pair():
+    # two vertices joined by one edge, each with 2**40 sink edges: making 1
+    # topple takes about 2**40 topplings of 0, each spending 2**40 + 1
+    heavy = 1 << 40
+    return SandpileGraph(Multigraph(3, [(0, 1, 1), (0, 2, heavy), (1, 2, heavy)]), 2)
+
+
+@pytest.mark.parametrize("make, placement, done, start", [
+    (lambda: line_sandpile(40), {0: 1}, _all_topple, 4),
+    (lambda: line_sandpile(60), {10: 1}, _all_topple, 4),
+    (lambda: line_sandpile(50), {0: 1, 3: 2}, _floods([49]), 1),
+    (_heavy_pair, {0: 1}, _topples(1), 1),
+], ids=["line40-end", "line60-interior", "line50-flood", "heavy-pair"])
+def test_least_multiple_past_int64_matches_a_from_scratch_search(make, placement, done,
+                                                                  start):
+    g = make()
+    base = [placement.get(v, 0) for v in range(g.n_ordinary)]
+    x, res = engine_mod._least_multiple(g, base, done, start)
+    want_x, want = _scratch_least_multiple(g, base, done, start)
+    assert x == want_x
+    assert res == want
+    # the search ran through counts that int64 cannot hold
+    assert max(res.received) >= 1 << 63
+    assert max(res.score) * int(g.degree.max()) >= 1 << 63
+
+
+def test_tcl_single_site_on_long_lines_matches_a_from_scratch_search():
+    for n in (34, 40):
+        g = line_sandpile(n)
+        want, _ = _scratch_least_multiple(g, point_config(g, 0, 1), _all_topple, 4)
+        assert tcl_single_site(g, 0).value == want
+
+
 @pytest.mark.parametrize("search", ["point", "uniform", "flood"])
 def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search):
     g = grid_sandpile(9)
