@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sandlab import load_graph, solve_potential
+from sandlab import build_sandpile, lattice_window, load_graph, save_graph, solve_potential
 from sandlab.cli import main
 
 
@@ -211,6 +212,71 @@ def test_epicenter_trace_artifact(tmp_path, capsys):
     assert results["target_flooded"] is True
     assert int(results["total"]) >= 1
     assert len(results["steps"]) >= 1
+
+
+# -- golden artifacts -------------------------------------------------------
+
+# sha256 of each -o artifact, frozen from the list-based graph store that
+# preceded the CSR one; any change to how graphs are held or counts flow
+# must leave every byte of these files as it was
+_GOLDEN = {
+    "grid5.json": "d0dc834d5d765cc1760b846e36277f8cdd44a1f9b5a79d5045dda3899f6e1b6d",
+    "grid8.json": "b761ae00465c714ccc062e503f135202ae20ac67c5a818745143b233347778e5",
+    "grid9.json": "12768962787a5175a88c56b6e3fbcc6576c0af279c88e6dc3df70687f4c498e1",
+    "line6.json": "fe9b3f982dd12deb2e18f4fad6a0b275a110e686d10e9f9692153c8a1dbdfbab",
+    "strip9x13.json": "13793713e147f9982e52845d13f2312c18cab167827f674353cdabc73d278e8a",
+    "lshape.json": "a3493b94c4262c9d18b5aac1575d3f34b4a8b5867187182fb74c3c30993bc955",
+    "stabilize-batch.json":
+        "6233e6f59ffffa8ae250c0b7e6a3e33e46846b24e68c7df6bd333de5b60a2c0c",
+    "stabilize-fifo.json":
+        "ef60cc1fc296d7579c7dbd8fa43e04911d25b30a4e09027fda33aaa2612ccbf8",
+    "stabilize-bigint.json":
+        "dc9a0fd2ea3f8f209701e50f3970b5b4542624b870532df2b202e27cdd33e04e",
+    "flood.json": "ca2cc6e1c49683d71cae96f2d9cadea56a944a0851407d2ce0967734b5442ba6",
+    "epicenter.json": "c4c9f9299bc9e4624d6a490d260487f734a4953600d7e45d5c80b57c40587931",
+    "epicenter-heuristic.json":
+        "e7e8d298bbaad24a848cdc10c1225881051b81ef4680f5d0a99473239372168a",
+    "potentials.csv": "463699920fce7761dae2647d92937d6fae96739dc0dc3a465b3444e2fd7a1b03",
+    "alpha.csv": "be9ac73770c99976d5204b14bbdcbce4e1da2e722d57da844e2e978c60a49c32",
+    "hlc.csv": "1136c085ba16aff2302c2cd8a9c4113e1044aba831b692bf664b05e34dae3f72",
+}
+
+
+def test_cli_artifacts_match_golden_digests(tmp_path):
+    p = lambda name: str(tmp_path / name)  # noqa: E731
+    runs = [
+        ("grid5.json", ["gen", "grid", "--n", "5"]),
+        ("grid8.json", ["gen", "grid", "--n", "8"]),
+        ("grid9.json", ["gen", "grid", "--n", "9"]),
+        ("line6.json", ["gen", "line", "--n", "6"]),
+        ("strip9x13.json", ["gen", "strip", "--k", "9", "--n", "13"]),
+        ("stabilize-batch.json",
+         ["stabilize", "--graph", p("grid5.json"), "--site", "2,2", "--count", "300"]),
+        ("stabilize-fifo.json",
+         ["stabilize", "--graph", p("grid5.json"), "--uniform", "9", "--policy", "fifo"]),
+        ("stabilize-bigint.json",
+         ["stabilize", "--graph", p("line6.json"), "--site", "1", "--count", str(10**20)]),
+        ("flood.json",
+         ["flood", "--graph", p("grid9.json"), "--site", "4,4", "--radius", "3"]),
+        ("epicenter.json",
+         ["epicenter", "--graph", p("grid9.json"), "--source", "4,4", "--target", "8,8"]),
+        ("epicenter-heuristic.json",
+         ["epicenter", "--graph", p("strip9x13.json"), "--source", "4,1",
+          "--target", "4,11", "--heuristic"]),
+        ("potentials.csv", ["potentials", "--graph", p("grid8.json"), "--pole", "3,4"]),
+        ("alpha.csv", ["estimate", "alpha", "--family", "grid", "--sizes", "8,12",
+                       "--samples", "6", "--seed", "3"]),
+        ("hlc.csv", ["estimate", "hlc", "--family", "line", "--sizes", "6,8",
+                     "--samples", "4", "--seed", "1"]),
+    ]
+    for name, args in runs:
+        assert main(args + ["-o", p(name)]) == 0, name
+    # an L-shaped window collapsed by build_sandpile, saved as graph JSON
+    inside = [x * 14 + y for x in range(1, 13) for y in range(1, 13) if x < 6 or y < 6]
+    save_graph(build_sandpile(lattice_window(14, 14), inside), p("lshape.json"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in _GOLDEN}
+    assert digests == _GOLDEN
 
 
 # -- plumbing ---------------------------------------------------------------
