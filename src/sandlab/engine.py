@@ -15,6 +15,11 @@ Every stabilization is closed out by an exact integer audit of
 
 plus conservation of particles into the sink.  A failed audit raises
 ``InternalError`` and is counted in ``engine_stats``.
+
+Counts pass between the kernels, the audit and the threshold searches as
+``_counts`` arrays: int64 while every entry is below 2**62, Python ints in
+an object array past that.  A ``StabilizationResult`` exposes Python lists,
+made once when it is built.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ class StabilizationResult:
     sink_absorbed: int
     topplings_total: int
     received: list[int] = field(repr=False, default_factory=list)
+    # stable, score and received as the ``_counts`` arrays they were made
+    # from, so that threshold searches compose results without converting
+    # the lists back
+    _arrays: tuple = field(repr=False, compare=False, default=None)
 
     def flooded(self, vertices) -> bool:
         return all(self.received[v] > 0 for v in vertices)
@@ -123,22 +132,25 @@ class TclResult:
 # configurations
 
 
-def normalize_config(g: SandpileGraph, counts) -> list[int]:
-    """Coerce a sequence or {vertex: count} mapping to a dense int list."""
+def normalize_config(g: SandpileGraph, counts) -> np.ndarray:
+    """Coerce a sequence, {vertex: count} mapping or array to a ``_counts``
+    array.  A one-dimensional int64 array is taken as it is."""
     if isinstance(counts, dict):
         values = [0] * g.n_ordinary
         for v, c in counts.items():
             g.check_ordinary(int(v), "configuration site")
             values[int(v)] = int(c)
+    elif isinstance(counts, np.ndarray) and counts.dtype == np.int64 and counts.ndim == 1:
+        values = counts
     else:
         values = list(map(int, counts))
-        if len(values) != g.n_ordinary:
-            raise PreconditionError(
-                f"configuration has {len(values)} entries, expected {g.n_ordinary}"
-            )
-    if values and min(values) < 0:
-        v = next(v for v, c in enumerate(values) if c < 0)
-        raise PreconditionError(f"negative count at vertex {v}")
+    if len(values) != g.n_ordinary:
+        raise PreconditionError(
+            f"configuration has {len(values)} entries, expected {g.n_ordinary}"
+        )
+    values = _counts(values)
+    if values.min(initial=0) < 0:
+        raise PreconditionError(f"negative count at vertex {np.flatnonzero(values < 0)[0]}")
     return values
 
 
@@ -163,7 +175,7 @@ def uniform_config(g: SandpileGraph, sites, count: int) -> list[int]:
 
 def max_stable(g: SandpileGraph) -> list[int]:
     """Maximal stable configuration: degree minus one everywhere."""
-    return [int(d) - 1 for d in g.degree]
+    return (g.degree - 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +193,7 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     """
     c0 = normalize_config(g, counts)
     if policy == "batch":
-        if sum(c0) < _INT64_SAFE_TOTAL:
+        if _total(c0) < _INT64_SAFE_TOTAL:
             stable, score = _stabilize_batch_int64(g, c0)
         else:
             stable, score = _stabilize_worklist(g, c0, "fifo", None)
@@ -210,13 +222,15 @@ def _stabilize_batch_int64(g, c0):
         if z.max() > _INT64_SAFE_TOTAL:
             # fall back to exact integers rather than risk 64-bit overflow
             return _stabilize_worklist(g, c0, "fifo", None)
-    return c.tolist(), z.tolist()
+    return c, z
 
 
 def _stabilize_worklist(g, c0, policy, seed):
-    deg = [int(d) for d in g.degree]
-    nbrs = [g.ordinary_neighbors(v) for v in range(g.n_ordinary)]
-    c = list(c0)
+    deg = g.degree.tolist()
+    adj = g.adjacency()
+    ptr, nbr, mult = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    nbrs = [list(zip(nbr[a:b], mult[a:b])) for a, b in zip(ptr, ptr[1:])]
+    c = np.asarray(c0).tolist()
     z = [0] * g.n_ordinary
     queued = [False] * g.n_ordinary
     work = [v for v in range(g.n_ordinary) if c[v] >= deg[v]]
@@ -245,24 +259,32 @@ def _stabilize_worklist(g, c0, policy, seed):
             if c[u] >= deg[u] and not queued[u]:
                 queued[u] = True
                 work.append(u)
-    return c, z
+    return _counts(c), _counts(z)
 
 
 def _audit(g, c0, stable, score):
-    """Close out a stabilization with the exact balance check, or raise."""
+    """Close out a stabilization with the exact balance check, or raise.
+
+    The result's lists are made here, once, from the arrays.
+    """
+    stable, score = np.asarray(stable), np.asarray(score)
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
-    absorbed = sum(int(mult) * score[v] for v, mult in g.neighbors(g.sink))
+    boundary = np.flatnonzero(g.sink_mult)
+    absorbed = sum(
+        k * z for k, z in zip(g.sink_mult[boundary].tolist(), score[boundary].tolist())
+    )
     received = _balance_check(g, c0, stable, score, absorbed)
     if received is None:
         _STATS["identity_failures"] += 1
         raise InternalError("stabilization audit failed (Laplacian identity)")
     return StabilizationResult(
-        stable=stable,
-        score=score,
+        stable=stable.tolist(),
+        score=score.tolist(),
         sink_absorbed=absorbed,
-        topplings_total=sum(score),
-        received=received,
+        topplings_total=_total(score),
+        received=received.tolist(),
+        _arrays=(stable, score, received),
     )
 
 
@@ -272,27 +294,50 @@ def _balance_check(g, c0, stable, score, absorbed):
     Holds when ``stable`` is a stable, nonnegative outcome of ``c0`` under
     nonnegative toppling counts ``score`` and exactly ``absorbed``
     particles reach the sink.  Returns the per-vertex received counts
-    (initial placement plus inflow) when it holds, else None.
+    (initial placement plus inflow) as a ``_counts`` array when it holds,
+    else None.  The three vectors may be sequences or arrays.
 
-    The check is one int64 product with the cached ``g.adjacency()`` when
-    the inputs prove that nothing can overflow: with m ordinary vertices,
-    every per-vertex term and every sum it forms is bounded in magnitude by
+    The check is one int64 product with ``g.adjacency()`` when the inputs
+    prove that nothing can overflow: with m ordinary vertices, every
+    per-vertex term and every sum it forms is bounded in magnitude by
 
         max|score| * 2 * max(degree) + m * max|c0|  <  2**62
 
     (``stable`` is summed only once the identity and the ranges hold, when
     its sum is at most that of ``c0``).
-    Inputs past the bound, such as the line family's counts, and inputs of
-    the wrong length take the exact Python-int loop of
-    ``_balance_check_exact``.  Both paths accept and reject the same inputs
-    and return the same list.
+    Inputs past the bound, such as the line family's counts, take the
+    exact Python-int arithmetic of ``_balance_check_exact``.  Both paths
+    accept and reject the same inputs and return equal counts.
     """
-    arrays = _int64_arrays(g, c0, stable, score)
-    if arrays is None:
-        return _balance_check_exact(g, c0, stable, score, absorbed)
-    c, s, z = arrays
-    deg = g.degree
-    inflow = g.adjacency() @ z
+    c, s, z = (x if isinstance(x, np.ndarray) else _counts(x) for x in (c0, stable, score))
+    m = g.n_ordinary
+    if not len(c) == len(s) == len(z) == m:
+        return None
+    if object in (c.dtype, s.dtype, z.dtype) or (
+        _magnitude(z) * 2 * int(g.degree.max()) + m * _magnitude(c) >= _INT64_HEADROOM
+    ):
+        return _balance_check_exact(g, c, s, z, absorbed)
+    return _balanced(g.degree, c, s, z, g.adjacency() @ z, absorbed)
+
+
+def _magnitude(a) -> int:
+    """Largest absolute entry of an int64 array, as a Python int."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def _balance_check_exact(g, c0, stable, score, absorbed):
+    """``_balance_check`` in Python integers (object arrays), for inputs of
+    any size."""
+    c, s, z = (np.array([int(x) for x in a], dtype=object) for a in (c0, stable, score))
+    adj = g.adjacency()
+    rows = np.repeat(np.arange(g.n_ordinary), np.diff(adj.indptr))
+    inflow = np.zeros(g.n_ordinary, dtype=object)
+    np.add.at(inflow, rows, adj.data.astype(object) * z[adj.indices])
+    return _balanced(g.degree.astype(object), c, s, z, inflow, absorbed)
+
+
+def _balanced(deg, c, s, z, inflow, absorbed):
+    """The checks of ``_balance_check`` on arrays of one dtype."""
     if not (
         np.array_equal(s, c - deg * z + inflow)
         and (s >= 0).all()
@@ -302,44 +347,7 @@ def _balance_check(g, c0, stable, score, absorbed):
         return None
     if int(c.sum()) != int(s.sum()) + absorbed:
         return None
-    return (c + inflow).tolist()
-
-
-def _int64_arrays(g, c0, stable, score):
-    """``c0``, ``stable``, ``score`` as int64 arrays when the bound of
-    ``_balance_check`` holds for them, else None."""
-    m = g.n_ordinary
-    if not len(c0) == len(stable) == len(score) == m:
-        return None
-    try:
-        c, s, z = (np.fromiter(x, np.int64, m) for x in (c0, stable, score))
-    except OverflowError:
-        return None
-    bound = _magnitude(z) * 2 * int(g.degree.max()) + m * _magnitude(c)
-    return (c, s, z) if bound < _INT64_HEADROOM else None
-
-
-def _magnitude(a) -> int:
-    """Largest absolute entry of an int64 array, as a Python int."""
-    return max(int(a.max()), -int(a.min()))
-
-
-def _balance_check_exact(g, c0, stable, score, absorbed):
-    """``_balance_check`` in Python integers, for inputs of any size."""
-    deg = [int(d) for d in g.degree]
-    inflow = [0] * g.n_ordinary
-    for u, v, mult in g.edges:
-        if v == g.sink:
-            continue
-        inflow[u] += mult * score[v]
-        inflow[v] += mult * score[u]
-    for v in range(g.n_ordinary):
-        expect = c0[v] - deg[v] * score[v] + inflow[v]
-        if stable[v] != expect or not (0 <= stable[v] < deg[v]) or score[v] < 0:
-            return None
-    if sum(c0) != sum(stable) + absorbed:
-        return None
-    return [c + f for c, f in zip(c0, inflow)]
+    return _counts(c + inflow)
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +382,19 @@ def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
 
     def probe(x):
         stable_lo, score_lo, received_lo, absorbed_lo, topplings_lo = at_lo
-        step = stabilize(g, (stable_lo + _times(base, x - lo)).tolist())
-        score = _counts(score_lo + _counts(step.score))
-        received = _counts(_counts(received_lo - stable_lo) + _counts(step.received))
+        step = stabilize(g, stable_lo + _times(base, x - lo))
+        stable, score, received = step._arrays
+        score = _counts(score_lo + score)
+        received = _counts(_counts(received_lo - stable_lo) + received)
         res = StabilizationResult(
             stable=step.stable,
             score=score.tolist(),
             sink_absorbed=absorbed_lo + step.sink_absorbed,
             topplings_total=topplings_lo + step.topplings_total,
             received=received.tolist(),
+            _arrays=(stable, score, received),
         )
-        return res, (_counts(step.stable), score, received,
-                     res.sink_absorbed, res.topplings_total)
+        return res, (stable, score, received, res.sink_absorbed, res.topplings_total)
 
     lo, hi = 0, max(1, int(start))
     best, state = probe(hi)
@@ -417,6 +426,13 @@ def _counts(values):
     if values.dtype != object and values.max(initial=0) >= _INT64_HEADROOM:
         return values.astype(object)
     return values
+
+
+def _total(counts) -> int:
+    """Exact sum of a ``_counts`` array."""
+    if counts.dtype != object and len(counts) * int(counts.max(initial=0)) >= 1 << 63:
+        counts = counts.astype(object)
+    return int(counts.sum())
 
 
 def _times(counts, k: int):
@@ -487,12 +503,11 @@ def is_recurrent(g: SandpileGraph, counts) -> bool:
     topples once and the configuration returns to its starting point.
     """
     c = normalize_config(g, counts)
-    for v, x in enumerate(c):
-        if x >= g.degree[v]:
-            raise PreconditionError(f"configuration not stable at vertex {v}")
-    burn = [x + int(m) for x, m in zip(c, g.sink_mult)]
-    res = stabilize(g, burn)
-    return all(s == 1 for s in res.score) and res.stable == c
+    unstable = np.flatnonzero(c >= g.degree)
+    if unstable.size:
+        raise PreconditionError(f"configuration not stable at vertex {unstable[0]}")
+    res = stabilize(g, c + _counts(g.sink_mult))
+    return all(s == 1 for s in res.score) and np.array_equal(res.stable, c)
 
 
 def _stable_state_count(g: SandpileGraph) -> int:
@@ -524,14 +539,7 @@ def spanning_tree_count(g: SandpileGraph) -> int:
     multigraph and must equal the number of recurrent stable states.
     """
     m = g.n_ordinary
-    a = [[0] * m for _ in range(m)]
-    for v in range(m):
-        a[v][v] = int(g.degree[v])
-    for u, v, mult in g.edges:
-        if v == g.sink:
-            continue
-        a[u][v] -= mult
-        a[v][u] -= mult
+    a = g.laplacian().toarray().tolist()
     sign = 1
     prev = 1
     for k in range(m - 1):

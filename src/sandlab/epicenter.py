@@ -17,7 +17,6 @@ constants the estimator module measured on the same family.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .engine import _least_multiple, flood_count, point_config, stabilize
 from .errors import InternalError, PreconditionError, ResourceLimitError
+from .graph_core import _bfs
 
 __all__ = [
     "PathSegment",
@@ -421,25 +421,20 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
 
 
 def _bfs_path(g, p, q):
-    """Shortest sink-deleted path, for families without a constructed path."""
-    prev = {p: None}
-    queue = deque([p])
-    while queue:
-        v = queue.popleft()
-        if v == q:
-            break
-        for u, _ in g.ordinary_neighbors(v):
-            if u not in prev:
-                prev[u] = v
-                queue.append(u)
-    if q not in prev:
+    """Shortest sink-deleted path, for families without a constructed path.
+
+    It is the path a first-in first-out search from p records: each
+    vertex's predecessor is its neighbor that the search took from the
+    queue first, i.e. the neighbor it reached first.
+    """
+    order = _bfs(g.adjacency(), [p])
+    if q not in order:
         raise PreconditionError("target unreachable without the sink")
-    out = []
-    v = q
-    while v is not None:
-        out.append(v)
-        v = prev[v]
-    return out[::-1]
+    rank = dict(zip(order, range(len(order))))
+    path = [q]
+    while path[-1] != p:
+        path.append(min((u for u, _ in g.ordinary_neighbors(path[-1])), key=rank.get))
+    return path[::-1]
 
 
 def tcl_bound(params: BoundParams, n: int) -> float:

@@ -449,15 +449,12 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
 
 def _inner_boundary(g, ball):
     """Ball vertices with a neighbor (sink included) outside the ball."""
-    inside = np.zeros(g.n_ordinary + 1, dtype=bool)
-    inside[np.asarray(ball, dtype=np.int64)] = True
-    out = []
-    for b in ball:
-        for u, _ in g.neighbors(int(b)):
-            if not inside[u]:
-                out.append(int(b))
-                break
-    return out
+    ball = np.asarray(ball, dtype=np.int64)
+    outside = np.ones(g.n_ordinary, dtype=np.int64)
+    outside[ball] = 0
+    # multiplicity from each vertex to the ordinary vertices outside the ball
+    leaving = g.adjacency() @ outside
+    return ball[(leaving[ball] > 0) | (g.sink_mult[ball] > 0)].tolist()
 
 
 def _check_args(sizes, samples):

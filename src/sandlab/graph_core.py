@@ -5,6 +5,12 @@ sink vertex; all other vertices are called ordinary.  Ordinary vertices are
 always labeled 0..m-1 and the sink is labeled m, so particle configurations
 can be stored as dense integer vectors.
 
+A ``SandpileGraph`` stores its graph once, as arrays: the ordinary-to-
+ordinary adjacency in CSR form (int64 multiplicities, rows sorted), plus the
+degree and the sink multiplicity of each ordinary vertex.  The sorted edge
+tuple, neighbor lists, the Laplacian, distances and balls are all read from
+these arrays, and the lattice families build them by index arithmetic.
+
 Distances and balls are measured in the sink-deleted subgraph: the sink is
 an absorbing boundary, not a thoroughfare.  ``metric_query`` additionally
 insists that the requested ball stays strictly inside the ordinary part
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,14 +77,6 @@ class Multigraph:
         self.edges = tuple(sorted((u, v, m) for (u, v), m in merged.items()))
         self.coords = dict(coords) if coords else None
 
-    def adjacency_lists(self):
-        """Neighbor lists as ``[(neighbor, multiplicity), ...]`` per vertex."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for u, v, m in self.edges:
-            adj[u].append((v, m))
-            adj[v].append((u, m))
-        return adj
-
 
 class SandpileGraph:
     """A multigraph with a distinguished sink, relabeled sink-last.
@@ -90,82 +89,77 @@ class SandpileGraph:
     def __init__(self, graph: Multigraph, sink: int):
         if not (0 <= sink < graph.vertex_count):
             raise PreconditionError(f"sink {sink} out of range")
-        n = graph.vertex_count
-        old_ordinary = [v for v in range(n) if v != sink]
-        relabel = {old: new for new, old in enumerate(old_ordinary)}
-        relabel[sink] = n - 1
-        self.n_ordinary = n - 1
-        self.sink = n - 1
-        self.edges = tuple(
-            sorted(
-                (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]), m)
-                for u, v, m in graph.edges
-            )
-        )
-        if graph.coords:
-            self.coords = {
-                relabel[v]: tuple(xy) for v, xy in graph.coords.items() if v != sink
-            }
-        else:
-            self.coords = None
-
-        m = self.n_ordinary
+        m = graph.vertex_count - 1
         if m < 1:
             raise PreconditionError("sandpile graph needs at least one ordinary vertex")
-        self._neighbors: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
-        sink_mult = [0] * m
-        degree = [0] * m
-        for u, v, mult in self.edges:
-            self._neighbors[u].append((v, mult))
-            self._neighbors[v].append((u, mult))
-            for end, other in ((u, v), (v, u)):
-                if end != self.sink:
-                    degree[end] += mult
-                    if other == self.sink:
-                        sink_mult[end] += mult
+        degree = [0] * (m + 1)
+        for u, v, mult in graph.edges:
+            degree[u] += mult
+            degree[v] += mult
+        del degree[sink]
         for v, d in enumerate(degree):  # exact sums: int64 would wrap silently
             if not 1 <= d < 1 << 63:
                 raise PreconditionError(f"vertex {v} has degree {d}")
-        self.degree = np.array(degree, dtype=np.int64)
-        self.sink_mult = np.array(sink_mult, dtype=np.int64)
-        self._check_connected_to_sink()
+        # each edge has an ordinary end, whose degree bounds its multiplicity;
+        # labels above the sink move down one to make room for it at m
+        u, v, mult = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
+        at_sink = (u == sink) | (v == sink)
+        ends = (u + v - sink)[at_sink]
+        sink_mult = np.zeros(m, dtype=np.int64)
+        sink_mult[ends - (ends > sink)] = mult[at_sink]
+        u, v, mult = u[~at_sink], v[~at_sink], mult[~at_sink]
+        adjacency = _csr(m, u - (u > sink), v - (v > sink), mult)
+        reached = _bfs(adjacency, np.flatnonzero(sink_mult).tolist())
+        if len(reached) < m:
+            bad = min(set(range(m)).difference(reached))
+            raise PreconditionError(f"vertex {bad} cannot reach the sink")
+        coords = None
+        if graph.coords:
+            coords = {w - (w > sink): tuple(xy) for w, xy in graph.coords.items() if w != sink}
+        self._store(adjacency, np.array(degree, dtype=np.int64), sink_mult, coords)
 
-        self._adjacency = None
+    def _store(self, adjacency, degree, sink_mult, coords):
+        """Keep the arrays and index the coordinates."""
+        self.n_ordinary = self.sink = adjacency.shape[0]
+        self._adjacency = adjacency
+        self.degree = degree
+        self.sink_mult = sink_mult
         self._eta = None
+        self.coords = coords
         self.coord_index = None
-        if self.coords:
+        if coords:
             self.coord_index = {}
-            for v, xy in self.coords.items():
+            for v, xy in coords.items():
                 other = self.coord_index.setdefault(xy, v)
                 if other != v:
                     raise PreconditionError(
                         f"coordinates {xy} given to both vertices {other} and {v}"
                     )
 
-    # -- validation ------------------------------------------------------
-
-    def _check_connected_to_sink(self):
-        seen = [False] * (self.n_ordinary + 1)
-        seen[self.sink] = True
-        queue = deque([self.sink])
-        while queue:
-            v = queue.popleft()
-            for u, _ in self._neighbors[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        if not all(seen):
-            bad = seen.index(False)
-            raise PreconditionError(f"vertex {bad} cannot reach the sink")
-
     # -- basic access ----------------------------------------------------
 
-    def neighbors(self, v):
-        """All neighbors of ``v`` with multiplicities; may include the sink."""
-        return self._neighbors[v]
+    @property
+    def edges(self):
+        """Sorted ``(u, v, mult)`` tuples with u < v, sink edges included.
+
+        Derived from the arrays on each call; the sink edge of a vertex
+        comes last in its row because the sink has the largest label.
+        """
+        adj = self._adjacency
+        rows = np.repeat(np.arange(self.n_ordinary), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        boundary = np.flatnonzero(self.sink_mult)
+        u = np.concatenate([rows[upper], boundary])
+        v = np.concatenate([adj.indices[upper], np.full(boundary.size, self.sink)])
+        mult = np.concatenate([adj.data[upper], self.sink_mult[boundary]])
+        order = np.lexsort((v, u))
+        return tuple(zip(u[order].tolist(), v[order].tolist(), mult[order].tolist()))
 
     def ordinary_neighbors(self, v):
-        return [(u, m) for u, m in self._neighbors[v] if u != self.sink]
+        """``[(neighbor, multiplicity), ...]`` of ``v`` without the sink, by label."""
+        adj = self._adjacency
+        lo, hi = adj.indptr[v], adj.indptr[v + 1]
+        return list(zip(adj.indices[lo:hi].tolist(), adj.data[lo:hi].tolist()))
 
     def is_ordinary(self, v) -> bool:
         return 0 <= v < self.n_ordinary
@@ -176,18 +170,6 @@ class SandpileGraph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric ordinary-to-ordinary adjacency with multiplicities."""
-        if self._adjacency is None:
-            rows, cols, vals = [], [], []
-            for u, v, mult in self.edges:
-                if v == self.sink:
-                    continue
-                rows += [u, v]
-                cols += [v, u]
-                vals += [mult, mult]
-            self._adjacency = sp.csr_matrix(
-                (np.array(vals, dtype=np.int64), (rows, cols)),
-                shape=(self.n_ordinary, self.n_ordinary),
-            )
         return self._adjacency
 
     def laplacian(self) -> sp.csr_matrix:
@@ -207,22 +189,12 @@ class SandpileGraph:
 
     def ordinary_distances(self, sources, cutoff=None):
         """BFS distances in the sink-deleted subgraph; unreachable is -1."""
-        dist = np.full(self.n_ordinary, -1, dtype=np.int64)
-        queue = deque()
+        sources = list(sources)
         for s in sources:
             self.check_ordinary(s, "source")
-            if dist[s] < 0:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            v = queue.popleft()
-            d = dist[v]
-            if cutoff is not None and d >= cutoff:
-                continue
-            for u, _ in self._neighbors[v]:
-                if u != self.sink and dist[u] < 0:
-                    dist[u] = d + 1
-                    queue.append(u)
+        reached = _bfs(self._adjacency, [int(s) for s in sources], cutoff)
+        dist = np.full(self.n_ordinary, -1, dtype=np.int64)
+        dist[list(reached)] = list(reached.values())
         return dist
 
     def eta(self):
@@ -232,8 +204,7 @@ class SandpileGraph:
         strictly inside the ordinary part; sink-adjacent vertices have 0.
         """
         if self._eta is None:
-            boundary = [v for v in range(self.n_ordinary) if self.sink_mult[v] > 0]
-            self._eta = self.ordinary_distances(boundary)
+            self._eta = self.ordinary_distances(np.flatnonzero(self.sink_mult).tolist())
         return self._eta
 
     def ordinary_ball(self, v, r):
@@ -246,13 +217,11 @@ class SandpileGraph:
 
     def ball_volume(self, ball) -> int:
         """Total multiplicity of edges with both endpoints inside ``ball``."""
-        inside = np.zeros(self.n_ordinary + 1, dtype=bool)
-        inside[np.asarray(ball, dtype=np.int64)] = True
-        vol = 0
-        for u, v, mult in self.edges:
-            if v != self.sink and inside[u] and inside[v]:
-                vol += mult
-        return vol
+        inside = np.zeros(self.n_ordinary + 1, dtype=np.int64)
+        inside[np.asarray(ball, dtype=np.int64)] = 1
+        inside = inside[:-1]  # the sink is never inside
+        # each entry is at most a degree, so the product cannot wrap
+        return sum((self._adjacency @ inside)[inside > 0].tolist()) // 2
 
     def degree_signature(self):
         """Weak isomorphism fingerprint: sorted degrees and sink multiplicities."""
@@ -292,29 +261,19 @@ def metric_query(g: SandpileGraph, v: int, r: int) -> MetricQuery:
             f"ball reaches sink: radius {r} exceeds eta({v}) = {eta_v}"
         )
     ball = g.ordinary_ball(v, r)
-    inside = np.zeros(g.n_ordinary + 1, dtype=bool)
+    inside = np.zeros(g.n_ordinary, dtype=bool)
     inside[ball] = True
-    vol = 0
-    vertex_boundary = set()
     edge_boundary = []
-    for a, b, mult in g.edges:
-        # endpoints are ordered a < b and the sink sorts last, so a is ordinary
-        in_a = inside[a]
-        in_b = b != g.sink and inside[b]
-        if in_a and in_b:
-            vol += mult
-        elif in_a and not in_b:
-            vertex_boundary.add(a)
-            edge_boundary.append((a, b, mult))
-        elif in_b and not in_a:
-            vertex_boundary.add(b)
-            edge_boundary.append((b, a, mult))
+    for a in ball.tolist():
+        edge_boundary += [(a, b, mult) for b, mult in g.ordinary_neighbors(a) if not inside[b]]
+        if g.sink_mult[a]:
+            edge_boundary.append((a, g.sink, int(g.sink_mult[a])))
     return MetricQuery(
         center=int(v),
         radius=int(r),
         ball=tuple(int(x) for x in ball),
-        vol=int(vol),
-        vertex_boundary=tuple(sorted(int(x) for x in vertex_boundary)),
+        vol=g.ball_volume(ball),
+        vertex_boundary=tuple(sorted({a for a, _, _ in edge_boundary})),
         edge_boundary=tuple(sorted(edge_boundary)),
         eta=eta_v,
     )
@@ -341,18 +300,6 @@ def build_sandpile(ambient: Multigraph, subset) -> SandpileGraph:
     m = len(chosen)
     sink = m
 
-    adj = ambient.adjacency_lists()
-    seen = {chosen[0]}
-    queue = deque([chosen[0]])
-    while queue:
-        v = queue.popleft()
-        for u, _ in adj[v]:
-            if u in index and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != m:
-        raise PreconditionError("subset not connected")
-
     edges = []
     boundary = 0
     for u, v, mult in ambient.edges:
@@ -365,6 +312,11 @@ def build_sandpile(ambient: Multigraph, subset) -> SandpileGraph:
         elif iv is not None:
             edges.append((iv, sink, mult))
             boundary += mult
+    inner = np.array([(a, b) for a, b, _ in edges if b != sink], dtype=np.int64)
+    inner = inner.reshape(-1, 2)
+    links = _csr(m, inner[:, 0], inner[:, 1], np.ones(len(inner), dtype=np.int64))
+    if len(_bfs(links, [0])) != m:
+        raise PreconditionError("subset not connected")
     if boundary == 0:
         raise PreconditionError("subset has no boundary edges")
 
@@ -403,27 +355,25 @@ def _block_sandpile(rows: int, cols: int) -> SandpileGraph:
 
     Interior adjacency is the unit lattice; each vertex gets 4 minus its
     internal degree as sink multiplicity, which is exactly what collapsing
-    the surrounding infinite lattice produces.
+    the surrounding infinite lattice produces.  The CSR arrays come from
+    index arithmetic on v = x * cols + y.
     """
     m = rows * cols
-    sink = m
-    edges = []
-    for x in range(rows):
-        for y in range(cols):
-            v = x * cols + y
-            internal = 0
-            if x + 1 < rows:
-                edges.append((v, (x + 1) * cols + y, 1))
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if 0 <= x + dx < rows and 0 <= y + dy < cols:
-                    internal += 1
-            if y + 1 < cols:
-                edges.append((v, x * cols + y + 1, 1))
-            if internal < 4:
-                edges.append((v, sink, 4 - internal))
-    coords = {x * cols + y: (x, y) for x in range(rows) for y in range(cols)}
-    graph = Multigraph(m + 1, edges, coords)
-    return SandpileGraph(graph, sink)
+    v = np.arange(m)
+    x, y = np.divmod(v, cols)
+    # candidate neighbors in increasing label order, so CSR rows come sorted
+    nbrs = np.stack([v - cols, v - 1, v + 1, v + cols], axis=1)
+    inside = np.stack([x > 0, y > 0, y < cols - 1, x < rows - 1], axis=1)
+    internal = inside.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(internal)])
+    adjacency = sp.csr_matrix(
+        (np.ones(indptr[-1], dtype=np.int64), nbrs[inside], indptr), shape=(m, m)
+    )
+    coords = dict(enumerate(zip(x.tolist(), y.tolist())))
+    # built from arrays, not a Multigraph, and connected to the sink by construction
+    g = SandpileGraph.__new__(SandpileGraph)
+    g._store(adjacency, np.full(m, 4, dtype=np.int64), 4 - internal, coords)
+    return g
 
 
 def grid_sandpile(n: int) -> SandpileGraph:
@@ -469,6 +419,39 @@ def gen_family(kind: str, *params: int) -> SandpileGraph:
     raise PreconditionError(f"unknown family {kind!r}")
 
 
+def _csr(m: int, u, v, mult) -> sp.csr_matrix:
+    """Symmetric m x m adjacency with sorted rows from undirected edge arrays."""
+    adjacency = sp.csr_matrix(
+        (np.concatenate([mult, mult]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(m, m),
+    )
+    adjacency.sort_indices()
+    return adjacency
+
+
+def _bfs(adjacency, sources, cutoff=None) -> dict:
+    """``{vertex: distance}`` of a breadth-first search over a CSR adjacency,
+    in discovery order, stopping at distance ``cutoff`` when one is given.
+
+    Walks the index arrays through memoryviews: on the small balls most
+    callers ask for, this costs a fraction of one scipy csgraph call or of
+    a frontier-at-a-time numpy search.
+    """
+    ptr, idx = memoryview(adjacency.indptr), memoryview(adjacency.indices)
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        d = dist[v]
+        if cutoff is not None and d >= cutoff:
+            continue
+        for u in idx[ptr[v]:ptr[v + 1]].tolist():
+            if u not in dist:
+                dist[u] = d + 1
+                queue.append(u)
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -477,7 +460,7 @@ def graph_to_json(g: SandpileGraph) -> dict:
     out = {
         "n_vertices": g.n_ordinary + 1,
         "sink": g.sink,
-        "edges": [[int(u), int(v), int(m)] for u, v, m in g.edges],
+        "edges": [list(e) for e in g.edges],
     }
     if g.coords:
         out["coords"] = {str(v): list(g.coords[v]) for v in sorted(g.coords)}
@@ -486,11 +469,21 @@ def graph_to_json(g: SandpileGraph) -> dict:
 
 def graph_from_json(data: dict) -> SandpileGraph:
     try:
-        n = int(data["n_vertices"])
-        sink = int(data["sink"])
-        edges = [(int(u), int(v), int(m)) for u, v, m in data["edges"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, sink, edges = data["n_vertices"], data["sink"], data["edges"]
+        edges = [(u, v, m) for u, v, m in edges]
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed graph JSON: {exc}") from exc
+    # JSON integers only: int() would truncate 1.5 and accept "2" or true
+    for name, value in (("n_vertices", n), ("sink", sink)):
+        if type(value) is not int:
+            raise PreconditionError(
+                f"malformed graph JSON: {name} must be an integer, got {value!r}"
+            )
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        edge = next(e for e in edges if not set(map(type, e)) <= {int})
+        raise PreconditionError(
+            f"malformed graph JSON: edge {list(edge)!r} must be three integers"
+        )
     if n > len(edges) + 1:  # checked before n sizes anything
         raise PreconditionError(
             f"malformed graph JSON: {len(edges)} edges cannot connect {n} vertices"

@@ -9,6 +9,41 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 
+def reference_sandpile(multigraph, sink):
+    """A sandpile graph built the list-based way from a ``Multigraph``.
+
+    Relabels the sink last, sorts the relabeled edges, and sums degrees,
+    sink multiplicities and neighbor lists edge by edge in Python ints.
+    """
+    n = multigraph.vertex_count
+    relabel = {old: new for new, old in enumerate(v for v in range(n) if v != sink)}
+    relabel[sink] = n - 1
+    m = n - 1
+    edges = tuple(sorted(
+        (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]), mult)
+        for u, v, mult in multigraph.edges
+    ))
+    degree, sink_mult = [0] * m, [0] * m
+    neighbors = [[] for _ in range(m)]
+    for u, v, mult in edges:
+        degree[u] += mult
+        if v == m:
+            sink_mult[u] += mult
+        else:
+            degree[v] += mult
+            neighbors[u].append((v, mult))
+            neighbors[v].append((u, mult))
+    coords = None
+    if multigraph.coords:
+        coords = {relabel[v]: tuple(xy) for v, xy in multigraph.coords.items() if v != sink}
+    doc = {"n_vertices": n, "sink": m, "edges": [list(e) for e in edges]}
+    if coords:
+        doc["coords"] = {str(v): list(coords[v]) for v in sorted(coords)}
+    return SimpleNamespace(n_ordinary=m, sink=m, edges=edges, degree=degree,
+                           sink_mult=sink_mult, neighbors=neighbors, coords=coords,
+                           json=doc)
+
+
 def neighbor_lists(g):
     """Ordinary-to-ordinary neighbor multiset per vertex, from the edge list."""
     out = [[] for _ in range(g.n_ordinary)]

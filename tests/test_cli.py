@@ -216,9 +216,8 @@ def test_epicenter_trace_artifact(tmp_path, capsys):
 
 # -- golden artifacts -------------------------------------------------------
 
-# sha256 of each -o artifact, frozen from the list-based graph store that
-# preceded the CSR one; any change to how graphs are held or counts flow
-# must leave every byte of these files as it was
+# sha256 of each -o artifact: a change to how graphs are stored or how
+# counts flow must leave every byte of these files as it is
 _GOLDEN = {
     "grid5.json": "d0dc834d5d765cc1760b846e36277f8cdd44a1f9b5a79d5045dda3899f6e1b6d",
     "grid8.json": "b761ae00465c714ccc062e503f135202ae20ac67c5a818745143b233347778e5",
@@ -314,6 +313,21 @@ def test_malformed_coords_exit_2(tmp_path, capsys, coords, named):
     assert main(["flood", "--graph", str(path), "--site", "0",
                  "--radius", "0"]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, named", [
+    ({"n_vertices": 2, "sink": 1, "edges": [[0, 1, 1.5]]}, "edge [0, 1, 1.5]"),
+    ({"n_vertices": "2", "sink": 1, "edges": [[0, 1, 4]]}, "n_vertices must be an integer"),
+    ({"n_vertices": 2, "sink": True, "edges": [[0, 1, 4]]}, "sink must be an integer"),
+    ({"n_vertices": 2, "sink": 1, "edges": [[0.2, 1, 4]]}, "edge [0.2, 1, 4]"),
+    ({"n_vertices": 2, "sink": 1, "edges": [["0", "1", "4"]]}, "edge ['0', '1', '4']"),
+], ids=["float-multiplicity", "string-n", "bool-sink", "float-endpoint", "string-edge"])
+def test_graph_json_needs_integers_exits_2(tmp_path, capsys, document, named):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(document))
+    assert main(["stabilize", "--graph", str(path), "--uniform", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed graph JSON" in err and named in err
 
 
 @pytest.mark.parametrize("text", [

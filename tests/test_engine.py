@@ -51,6 +51,33 @@ def test_normalize_accepts_mapping(grid2):
     assert res.score == [1, 2, 2, 8]
 
 
+def test_stabilize_takes_lists_mappings_and_arrays():
+    g = grid_sandpile(4)
+    c = [(7 * v) % 11 for v in range(g.n_ordinary)]
+    want = stabilize(g, c)
+    given = np.array(c, dtype=np.int64)
+    for counts in ({v: x for v, x in enumerate(c)}, given):
+        assert stabilize(g, counts) == want
+    assert given.tolist() == c  # an array is read, never written
+    line = line_sandpile(6)
+    big = [0, 2**70 + 3, 0, 5, 0, 2**64]
+    want = stabilize(line, big)
+    assert stabilize(line, np.array(big, dtype=object)) == want
+    assert stabilize(line, {1: 2**70 + 3, 3: 5, 5: 2**64}) == want
+    assert want.topplings_total > 1 << 63
+
+
+@pytest.mark.parametrize("counts, said", [
+    (np.array([0, -1, 0, 0], dtype=np.int64), "negative count at vertex 1"),
+    (np.array([0, 0, 2**70, -(2**70)], dtype=object), "negative count at vertex 3"),
+    (np.array([1, 2, 3], dtype=np.int64), "configuration has 3 entries, expected 4"),
+    (np.array([1, 2, 3, 4, 5], dtype=object), "configuration has 5 entries, expected 4"),
+])
+def test_array_configs_are_checked(grid2, counts, said):
+    with pytest.raises(PreconditionError, match=said):
+        stabilize(grid2, counts)
+
+
 def test_config_length_checked(grid2):
     with pytest.raises(PreconditionError, match="expected 4"):
         stabilize(grid2, [1, 2, 3])
@@ -377,6 +404,7 @@ def test_received_counts_placement(grid2):
 def _both_checks(g, c0, stable, score, absorbed):
     fast = engine_mod._balance_check(g, c0, stable, score, absorbed)
     exact = engine_mod._balance_check_exact(g, c0, stable, score, absorbed)
+    fast, exact = (None if r is None else r.tolist() for r in (fast, exact))
     assert fast == exact
     return fast
 
@@ -400,8 +428,8 @@ def test_int64_audit_agrees_with_exact_audit(g, monkeypatch):
     monkeypatch.setattr(engine_mod, "_balance_check_exact", unexpected)
     for c, res in runs:
         fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
-        assert fast == res.received
-        assert fast == exact(g, c, res.stable, res.score, res.sink_absorbed)
+        assert fast.tolist() == res.received
+        assert fast.tolist() == exact(g, c, res.stable, res.score, res.sink_absorbed).tolist()
     monkeypatch.setattr(engine_mod, "_balance_check_exact", exact)
 
     c, res = runs[-1]
@@ -444,7 +472,7 @@ def test_int64_audit_bound_edge_takes_exact_path(monkeypatch):
     exact = engine_mod._balance_check_exact
 
     def spy(*args):
-        calls.append(args[1])
+        calls.append(list(args[1]))
         return exact(*args)
 
     monkeypatch.setattr(engine_mod, "_balance_check_exact", spy)
@@ -453,7 +481,8 @@ def test_int64_audit_bound_edge_takes_exact_path(monkeypatch):
         res = stabilize(g, c)
         assert sum(res.stable) + res.sink_absorbed == n
         fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
-        assert fast == res.received == exact(g, c, res.stable, res.score, res.sink_absorbed)
+        again = exact(g, c, res.stable, res.score, res.sink_absorbed)
+        assert fast.tolist() == res.received == again.tolist()
     # the bound is what selects the path: each audit of the drop past it
     # (one inside stabilize, one above) ran the exact loop, none below it
     assert calls == [[hi, 0], [hi, 0]]
@@ -517,7 +546,7 @@ def test_bigint_path_matches_int64():
     c = [10**6 if v == 4 else 0 for v in range(9)]
     fast = engine_mod._stabilize_batch_int64(g, c)
     slow = engine_mod._stabilize_worklist(g, c, "fifo", None)
-    assert fast == slow
+    assert [a.tolist() for a in fast] == [a.tolist() for a in slow]
 
 
 def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
@@ -537,7 +566,7 @@ def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
     monkeypatch.setattr(engine_mod, "_stabilize_worklist", spy)
     res = stabilize(g, c)
     assert calls == [("fifo", None)]
-    assert (res.stable, res.score) == want
+    assert (res.stable, res.score) == tuple(a.tolist() for a in want)
 
 
 def test_huge_placement_is_exact(line2):

@@ -111,6 +111,28 @@ def test_family_size_guards():
         line_sandpile(0)
 
 
+def _assert_same_graph(g, want):
+    """Every stored and derived field of ``g`` equals that of ``want``,
+    a ``SandpileGraph`` or a ``reference_sandpile``."""
+    assert (g.n_ordinary, g.sink) == (want.n_ordinary, want.sink)
+    assert g.edges == want.edges
+    assert g.degree.dtype == g.sink_mult.dtype == np.int64
+    assert g.degree.tolist() == list(want.degree)
+    assert g.sink_mult.tolist() == list(want.sink_mult)
+    for v in range(g.n_ordinary):
+        assert g.ordinary_neighbors(v) == (
+            want.ordinary_neighbors(v) if isinstance(want, SandpileGraph)
+            else want.neighbors[v]
+        )
+    lap = oracles.reduced_laplacian_rows(want)
+    assert g.laplacian().toarray().tolist() == lap
+    adj = g.adjacency()
+    assert adj.dtype == np.int64 and adj.has_sorted_indices
+    assert adj.toarray().tolist() == [
+        [0 if u == v else -x for v, x in enumerate(row)] for u, row in enumerate(lap)
+    ]
+
+
 def test_build_sandpile_collapses_exterior():
     amb = lattice_window(5, 5)
     subset = [x * 5 + y for x in range(1, 4) for y in range(1, 4)]
@@ -121,6 +143,47 @@ def test_build_sandpile_collapses_exterior():
     direct = grid_sandpile(3)
     assert s.degree_signature() == direct.degree_signature()
     assert sorted(s.edges) == sorted(direct.edges)
+    # and so does every lattice builder, field by field
+    for rows, cols, direct in [
+        (1, 1, line_sandpile(1)), (1, 2, line_sandpile(2)), (1, 7, line_sandpile(7)),
+        (2, 2, grid_sandpile(2)), (3, 3, grid_sandpile(3)), (6, 6, grid_sandpile(6)),
+        (2, 6, strip_sandpile(2, 6)), (4, 3, strip_sandpile(4, 3)),
+    ]:
+        window = lattice_window(rows + 2, cols + 2)
+        inside = [x * (cols + 2) + y for x in range(1, rows + 1) for y in range(1, cols + 1)]
+        collapsed = build_sandpile(window, inside)
+        _assert_same_graph(direct, collapsed)
+        # the window's coordinates are the block's shifted by one
+        assert collapsed.coords == {v: (x + 1, y + 1) for v, (x, y) in direct.coords.items()}
+        assert direct.eta().tolist() == collapsed.eta().tolist()
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """A connected multigraph with parallel edges given in both orientations
+    and multiplicities up to 2**40, with a sink anywhere and coords or not."""
+    n = draw(st.integers(2, 8))
+    mult = st.integers(1, 1 << 40)
+    edges = [(v, draw(st.integers(0, v - 1)), draw(mult)) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 12))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, draw(mult)))
+            if draw(st.booleans()):
+                edges.append((v, u, draw(mult)))
+    coords = {v: (v, -v) for v in range(n)} if draw(st.booleans()) else None
+    return Multigraph(n, draw(st.permutations(edges)), coords), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_connected_multigraphs())
+def test_sandpile_graph_matches_list_based_construction(case):
+    multigraph, sink = case
+    g = SandpileGraph(multigraph, sink)
+    want = oracles.reference_sandpile(multigraph, sink)
+    _assert_same_graph(g, want)
+    assert g.coords == want.coords
+    assert json.dumps(graph_to_json(g), indent=2) == json.dumps(want.json, indent=2)
 
 
 def test_build_sandpile_rejects_disconnected_subset():
