@@ -250,29 +250,18 @@ def flood(graph_path, site, radius, output):
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--source", required=True, help="Start site, id or x,y.")
 @click.option("--target", required=True, help="Goal site, id or x,y.")
-@click.option("--c-sigma", type=float, default=2.0, show_default=True)
-@click.option("--c-h", type=float, default=0.25, show_default=True)
-@click.option("--max-degree", type=int, default=4, show_default=True)
-@click.option("--delta-lo", type=float, default=1.0, show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--g-hat", type=float, default=1.5, show_default=True)
 @click.option("--heuristic", is_flag=True,
               help="Allow a best-effort shortest path off the grid family.")
 @click.option("--max-steps", type=int, default=10_000, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def epicenter_cmd(graph_path, source, target, c_sigma, c_h, max_degree,
-                  delta_lo, alpha, g_hat, heuristic, max_steps, output):
+def epicenter_cmd(graph_path, source, target, heuristic, max_steps, output):
     """Propagate a flooded ball from source to target along a central path."""
     g = _load(graph_path)
     p = _parse_site(g, source)
     q = _parse_site(g, target)
-    params = epicenter.BoundParams(
-        c_sigma=c_sigma, c_h=c_h, max_degree=max_degree,
-        delta_lo=delta_lo, alpha=alpha, g_hat=g_hat,
-    )
     start = time.perf_counter()
-    trace = epicenter.propagate(g, p, q, params, heuristic=heuristic,
-                                max_steps=max_steps)
+    trace = epicenter.propagate(g, p, q, epicenter.BoundParams.grid_defaults(),
+                                heuristic=heuristic, max_steps=max_steps)
     elapsed = time.perf_counter() - start
     if output:
         _write_report(output, "epicenter", None, trace.to_json())
@@ -297,7 +286,9 @@ def verify(graph_path, site, count, seed):
         config = engine.point_config(g, _parse_site(g, site), count)
     else:
         rng = np.random.default_rng(seed)
-        config = [int(x) for x in rng.integers(0, 2 * g.degree)]
+        # uint64: twice a degree near 2**63 wraps in int64
+        high = 2 * g.degree.astype(np.uint64)
+        config = [int(x) for x in rng.integers(0, high, dtype=np.uint64)]
     res = engine.stabilize(g, config)
     ok = engine._balance_check(
         g, config, res.stable, res.score, res.sink_absorbed

@@ -17,7 +17,7 @@ constants the estimator module measured on the same family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +39,9 @@ __all__ = [
     "tcl_bound",
 ]
 
+# slack on the one-unit residual cap that makes a segment fit linear
+_LINEAR_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -55,10 +58,6 @@ class PathSegment:
     a_l: float
     a_u: float
     phase: str
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
     def advance_rate(self) -> float:
         """Per-step radius factor g: above 1 when the phase makes progress."""
@@ -143,17 +142,14 @@ class BoundParams:
         return cls(c_sigma=2.0, c_h=0.25, max_degree=4, delta_lo=1.0, alpha=2.0)
 
     @classmethod
-    def from_estimates(cls, alpha_report, hlc_report, mv_report,
-                       max_degree=4, k_segments=2, drift_len=0.0, g_hat=1.5):
-        return cls(
+    def from_estimates(cls, alpha_report, hlc_report, mv_report):
+        """Grid defaults with the four measured constants swapped in."""
+        return replace(
+            cls.grid_defaults(),
             c_sigma=hlc_report.estimates["c_sigma"],
             c_h=mv_report.estimates["c_h"],
-            max_degree=max_degree,
             delta_lo=alpha_report.estimates["delta_lo"],
             alpha=alpha_report.estimates["alpha"],
-            k_segments=k_segments,
-            drift_len=drift_len,
-            g_hat=g_hat,
         )
 
 
@@ -236,7 +232,7 @@ def find_central_path_grid(g, p, q) -> CentralPath:
     return classify_path(g, vertices, breaks=breaks)
 
 
-def classify_path(g, path, l=0.0, tol=1e-6, breaks=None) -> CentralPath:
+def classify_path(g, path, l=0.0, breaks=None) -> CentralPath:
     """Fit eta along the path and label each linear segment with its phase.
 
     Accepts a vertex sequence or an existing CentralPath.  Segments whose
@@ -272,7 +268,7 @@ def classify_path(g, path, l=0.0, tol=1e-6, breaks=None) -> CentralPath:
         if depth > 12:
             raise PreconditionError("path not (k,l)-central")
         b, a_l, a_u = fit(s, e)
-        linear = max(abs(a_l), abs(a_u)) <= 1.0 + tol
+        linear = max(abs(a_l), abs(a_u)) <= 1.0 + _LINEAR_TOL
         if linear and b >= 0.1:
             segments.append(PathSegment(s, e, b, a_l, a_u, "expansion"))
             return

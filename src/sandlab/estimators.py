@@ -17,7 +17,6 @@ refuse the fallback.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,9 @@ CSV_HEADER = "family,n,seed,property,sample_id,v,r,R,value"
 
 # rng stream tags so the properties draw independent, reproducible samples
 _PROP_CODES = {"alpha": 1, "hlc": 2, "mv": 3, "ls": 4, "op": 5}
+
+# hlc flags a family whose worst ratio climbs by more than this factor
+_HLC_GROWTH_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,6 @@ class EstimateReport:
             )
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def _fmt(x) -> str:
     if x is None or x == "":
@@ -161,14 +159,24 @@ def _sample_pool(g):
     return sites, caps, False
 
 
-def _rng_for(seed, prop, n):
-    return np.random.default_rng([int(seed), _PROP_CODES[prop], int(n)])
+def _draws(prop, family, sizes, samples, seed, interior=False):
+    """The shared sampling loop: one seeded stream per (property, size).
 
-
-def _draw_site_radius(rng, sites, caps):
-    v = int(sites[rng.integers(len(sites))])
-    r = int(rng.integers(1, caps[v] + 1))
-    return v, r
+    Yields ``(n, i, g, rng, v, r, cap)`` for sample ``i`` on size ``n``:
+    the drawn site ``v``, radius ``r`` in [1, cap], and the site's radius
+    cap.  Consumers may draw more from ``rng`` before taking the next
+    sample.  ``interior`` refuses the thin-family fallback pool.
+    """
+    for n in sizes:
+        g = gen_family(family, n)
+        sites, caps, is_interior = _sample_pool(g)
+        if interior and not is_interior:
+            raise PreconditionError("family too thin")
+        rng = np.random.default_rng([int(seed), _PROP_CODES[prop], int(n)])
+        for i in range(samples):
+            v = int(sites[rng.integers(len(sites))])
+            cap = int(caps[v])
+            yield n, i, g, rng, v, int(rng.integers(1, cap + 1)), cap
 
 
 def _report(prop, family, sizes, samples, seed, rows, estimates, flags,
@@ -200,25 +208,17 @@ def estimate_alpha(family, sizes, samples, seed) -> EstimateReport:
     """
     _check_args(sizes, samples)
     rows = []
-    points = []
-    for n in sizes:
-        g = gen_family(family, n)
-        sites, caps, _ = _sample_pool(g)
-        rng = _rng_for(seed, "alpha", n)
-        for i in range(samples):
-            v, r = _draw_site_radius(rng, sites, caps)
-            vol = g.ball_volume(g.ordinary_ball(v, r))
-            rows.append(SampleRow(family, n, i, v, r, None, int(vol)))
-            if vol > 0:
-                points.append((n, v, r, vol))
-    radii = sorted(set(p[2] for p in points))
-    if len(radii) < 2:
+    for n, i, g, _, v, r, _ in _draws("alpha", family, sizes, samples, seed):
+        vol = g.ball_volume(g.ordinary_ball(v, r))
+        rows.append(SampleRow(family, n, i, v, r, None, int(vol)))
+    points = [row for row in rows if row.value > 0]
+    if len(set(row.r for row in points)) < 2:
         raise PreconditionError("degenerate fit: need at least two radii")
-    logs_r = np.log([p[2] for p in points])
-    logs_v = np.log([p[3] for p in points])
+    logs_r = np.log([row.r for row in points])
+    logs_v = np.log([row.value for row in points])
     alpha, _ = np.polyfit(logs_r, logs_v, 1)
     alpha = float(alpha)
-    ratios = [(vol / r**alpha, n, v, r) for n, v, r, vol in points]
+    ratios = [(row.value / row.r**alpha, row.n, row.v, row.r) for row in points]
     lo = min(ratios)
     up = max(ratios)
     witness = {"n": up[1], "v": up[2], "r": up[3], "extreme": "delta_up"}
@@ -231,41 +231,30 @@ def estimate_alpha(family, sizes, samples, seed) -> EstimateReport:
                    {}, witness, 0)
 
 
-def estimate_hlc(family, sizes, samples, seed, growth_factor=2.0) -> EstimateReport:
+def estimate_hlc(family, sizes, samples, seed) -> EstimateReport:
     """Worst ratio of single-site flood count to ball volume.
 
     A family with uniformly bounded ratio diffuses isotropically; the
     report flags the family when the per-size worst ratio climbs strictly
-    with size and the climb exceeds ``growth_factor`` overall.
+    with size and more than doubles overall.
     """
     _check_args(sizes, samples)
     rows = []
-    per_size_max = []
-    worst = None
-    for n in sizes:
-        g = gen_family(family, n)
-        sites, caps, _ = _sample_pool(g)
-        rng = _rng_for(seed, "hlc", n)
-        size_max = 0.0
-        for i in range(samples):
-            v, r = _draw_site_radius(rng, sites, caps)
-            ball = g.ordinary_ball(v, r)
-            vol = g.ball_volume(ball)
-            ratio = flood_count(g, v, ball) / vol
-            rows.append(SampleRow(family, n, i, v, r, None, float(ratio)))
-            size_max = max(size_max, ratio)
-            if worst is None or ratio > worst[0]:
-                worst = (ratio, n, v, r)
-        per_size_max.append(size_max)
+    for n, i, g, _, v, r, _ in _draws("hlc", family, sizes, samples, seed):
+        ball = g.ordinary_ball(v, r)
+        ratio = flood_count(g, v, ball) / g.ball_volume(ball)
+        rows.append(SampleRow(family, n, i, v, r, None, float(ratio)))
+    per_size_max = [max(row.value for row in rows if row.n == n) for n in sizes]
     climbing = all(a < b for a, b in zip(per_size_max, per_size_max[1:]))
     no_uniform = (
         len(per_size_max) >= 2
         and climbing
-        and per_size_max[-1] > growth_factor * per_size_max[0]
+        and per_size_max[-1] > _HLC_GROWTH_FACTOR * per_size_max[0]
     )
-    estimates = {"c_sigma": float(worst[0])}
+    worst = max(rows, key=lambda row: row.value)
+    estimates = {"c_sigma": worst.value}
     flags = {"no_uniform_c_sigma": bool(no_uniform)}
-    witness = {"n": worst[1], "v": worst[2], "r": worst[3]}
+    witness = {"n": worst.n, "v": worst.v, "r": worst.r}
     return _report("hlc", family, sizes, samples, seed, rows, estimates,
                    flags, witness, 0)
 
@@ -281,37 +270,30 @@ def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
     _check_args(sizes, samples)
     rows = []
     excluded = 0
-    worst = None
     radius1_err = 0.0
-    for n in sizes:
-        g = gen_family(family, n)
-        sites, caps, _ = _sample_pool(g)
-        rng = _rng_for(seed, "mv", n)
-        for i in range(samples):
-            v, r = _draw_site_radius(rng, sites, caps)
-            ball = g.ordinary_ball(v, r)
-            vol = g.ball_volume(ball)
-            forbidden = set(int(b) for b in ball)
-            for b in ball:
-                forbidden.update(u for u, _ in g.ordinary_neighbors(int(b)))
-            pool = [u for u in range(g.n_ordinary) if u not in forbidden]
-            if not pool or vol == 0:
-                excluded += 1
-                continue
-            w = pool[int(rng.integers(len(pool)))]
-            pi = solve_potential(g, w).values
-            ratio = float(pi[ball].sum() / (pi[v] * vol))
-            rows.append(SampleRow(family, n, i, v, r, None, ratio,
-                                  aux={"pole": int(w)}))
-            if r == 1:
-                ideal = (1 + int(g.degree[v])) / vol
-                radius1_err = max(radius1_err, abs(ratio - ideal))
-            if worst is None or ratio < worst[0]:
-                worst = (ratio, n, v, r, int(w))
-    if worst is None:
+    for n, i, g, rng, v, r, _ in _draws("mv", family, sizes, samples, seed):
+        ball = g.ordinary_ball(v, r)
+        vol = g.ball_volume(ball)
+        forbidden = set(int(b) for b in ball)
+        for b in ball:
+            forbidden.update(u for u, _ in g.ordinary_neighbors(int(b)))
+        pool = [u for u in range(g.n_ordinary) if u not in forbidden]
+        if not pool or vol == 0:
+            excluded += 1
+            continue
+        w = pool[int(rng.integers(len(pool)))]
+        pi = solve_potential(g, w).values
+        ratio = float(pi[ball].sum() / (pi[v] * vol))
+        rows.append(SampleRow(family, n, i, v, r, None, ratio,
+                              aux={"pole": int(w)}))
+        if r == 1:
+            ideal = (1 + int(g.degree[v])) / vol
+            radius1_err = max(radius1_err, abs(ratio - ideal))
+    if not rows:
         raise PreconditionError("no admissible pole for any sampled ball")
-    estimates = {"c_h": float(worst[0]), "radius1_worst_err": float(radius1_err)}
-    witness = {"n": worst[1], "v": worst[2], "r": worst[3], "pole": worst[4]}
+    worst = min(rows, key=lambda row: row.value)
+    estimates = {"c_h": worst.value, "radius1_worst_err": float(radius1_err)}
+    witness = {"n": worst.n, "v": worst.v, "r": worst.r, "pole": worst.aux["pole"]}
     return _report("mv", family, sizes, samples, seed, rows, estimates,
                    {}, witness, excluded)
 
@@ -332,49 +314,37 @@ def estimate_ls(family, sizes, samples, seed, mv_report=None) -> EstimateReport:
     c_h = mv_report.estimates["c_h"]
     rows = []
     excluded = 0
-    worst = None
-    violations = 0
     dmax = 0
     triples = []
-    for n in sizes:
-        g = gen_family(family, n)
-        sites, caps, interior = _sample_pool(g)
-        if not interior:
-            raise PreconditionError("family too thin")
+    for n, i, g, rng, v, r, cap in _draws("ls", family, sizes, samples, seed,
+                                         interior=True):
         dmax = max(dmax, int(g.degree.max()))
-        rng = _rng_for(seed, "ls", n)
-        for i in range(samples):
-            v, r = _draw_site_radius(rng, sites, caps)
-            outer = int(rng.integers(r, caps[v] + 1))
-            boundary = _inner_boundary(g, g.ordinary_ball(v, outer))
-            if not boundary:
-                excluded += 1
-                continue
-            w = boundary[int(rng.integers(len(boundary)))]
-            ball = g.ordinary_ball(v, r)
-            vol = g.ball_volume(ball)
-            big = min_to_topple(g, v, w)
-            h = min_to_topple_uniform(g, ball, w).h_topple
-            ratio = h * vol / big
-            rows.append(SampleRow(family, n, i, v, r, outer, float(ratio),
-                                  aux={"target": int(w), "H": big, "h": h}))
-            triples.append((h, big, vol))
-            if worst is None or ratio > worst[0]:
-                worst = (ratio, n, v, r, outer, int(w))
-    if worst is None:
+        outer = int(rng.integers(r, cap + 1))
+        boundary = _inner_boundary(g, g.ordinary_ball(v, outer))
+        if not boundary:
+            excluded += 1
+            continue
+        w = boundary[int(rng.integers(len(boundary)))]
+        ball = g.ordinary_ball(v, r)
+        vol = g.ball_volume(ball)
+        big = min_to_topple(g, v, w)
+        h = min_to_topple_uniform(g, ball, w).h_topple
+        rows.append(SampleRow(family, n, i, v, r, outer, float(h * vol / big),
+                              aux={"target": int(w), "H": big, "h": h}))
+        triples.append((h, big, vol))
+    if not rows:
         raise PreconditionError("no usable threshold samples")
-    for h, big, vol in triples:
-        if h > (dmax + 1) / c_h * big / vol + 1:
-            violations += 1
-    c_l = float(worst[0])
+    violations = sum(h > (dmax + 1) / c_h * big / vol + 1 for h, big, vol in triples)
+    worst = max(rows, key=lambda row: row.value)
+    c_l = worst.value
     theorem_cap = (dmax + 1) / c_h * 1.05 + 1
     estimates = {"c_l": c_l, "c_h_used": float(c_h)}
     flags = {
         "superposition_violations": violations,
         "c_l_within_theorem": bool(c_l <= theorem_cap),
     }
-    witness = {"n": worst[1], "v": worst[2], "r": worst[3],
-               "R": worst[4], "target": worst[5]}
+    witness = {"n": worst.n, "v": worst.v, "r": worst.r,
+               "R": worst.outer, "target": worst.aux["target"]}
     return _report("ls", family, sizes, samples, seed, rows, estimates,
                    flags, witness, excluded)
 
@@ -399,52 +369,41 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
     c_sigma = hlc_report.estimates["c_sigma"]
     c_h = mv_report.estimates["c_h"]
     rows = []
-    excluded = 0
-    worst = None
     violations = 0
     by_ratio: dict[float, int] = {}
-    for n in sizes:
-        g = gen_family(family, n)
-        sites, caps, interior = _sample_pool(g)
-        if not interior:
-            raise PreconditionError("family too thin")
+    for n, i, g, rng, v, r, cap in _draws("op", family, sizes, samples, seed,
+                                         interior=True):
         dmax = int(g.degree.max())
-        rng = _rng_for(seed, "op", n)
-        for i in range(samples):
-            v, r = _draw_site_radius(rng, sites, caps)
-            outer = int(rng.integers(r, caps[v] + 1))
-            sources = g.ordinary_ball(v, r)
-            targets = g.ordinary_ball(v, outer)
+        outer = int(rng.integers(r, cap + 1))
+        sources = g.ordinary_ball(v, r)
+        targets = g.ordinary_ball(v, outer)
 
-            def all_topple(res):
-                return all(res.score[int(t)] >= 1 for t in targets)
+        def all_topple(res):
+            return all(res.score[int(t)] >= 1 for t in targets)
 
-            fhat, _ = _least_multiple(
-                g, uniform_config(g, sources, 1), all_topple, dmax
-            )
-            ratio = outer / r
-            rows.append(SampleRow(family, n, i, v, r, outer, int(fhat)))
-            key = round(ratio, 9)
-            by_ratio[key] = max(by_ratio.get(key, 0), fhat)
-            bound = (c_sigma / c_h) * (dmax * (dmax + 1) / delta_lo) * ratio**alpha
-            if fhat > bound:
-                violations += 1
-            if worst is None or fhat > worst[0]:
-                worst = (fhat, n, v, r, outer)
-    if worst is None:
-        raise PreconditionError("no usable overlap samples")
+        fhat, _ = _least_multiple(
+            g, uniform_config(g, sources, 1), all_topple, dmax
+        )
+        ratio = outer / r
+        rows.append(SampleRow(family, n, i, v, r, outer, int(fhat)))
+        key = round(ratio, 9)
+        by_ratio[key] = max(by_ratio.get(key, 0), fhat)
+        bound = (c_sigma / c_h) * (dmax * (dmax + 1) / delta_lo) * ratio**alpha
+        if fhat > bound:
+            violations += 1
+    worst = max(rows, key=lambda row: row.value)
     table = tuple(sorted(by_ratio.items()))
     estimates = {
-        "fhat_max": int(worst[0]),
+        "fhat_max": worst.value,
         "alpha_used": float(alpha),
         "c_sigma_used": float(c_sigma),
         "c_h_used": float(c_h),
         "delta_lo_used": float(delta_lo),
     }
     flags = {"formula_violations": violations}
-    witness = {"n": worst[1], "v": worst[2], "r": worst[3], "R": worst[4]}
+    witness = {"n": worst.n, "v": worst.v, "r": worst.r, "R": worst.outer}
     return _report("op", family, sizes, samples, seed, rows, estimates,
-                   flags, witness, excluded, table=table)
+                   flags, witness, 0, table=table)
 
 
 def _inner_boundary(g, ball):

@@ -223,13 +223,6 @@ class SandpileGraph:
         # each entry is at most a degree, so the product cannot wrap
         return sum((self._adjacency @ inside)[inside > 0].tolist()) // 2
 
-    def degree_signature(self):
-        """Weak isomorphism fingerprint: sorted degrees and sink multiplicities."""
-        return (
-            tuple(sorted(self.degree.tolist())),
-            tuple(sorted(self.sink_mult.tolist())),
-        )
-
 
 @dataclass(frozen=True)
 class MetricQuery:

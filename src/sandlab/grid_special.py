@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .engine import point_config, stabilize
 from .errors import PreconditionError
-from .graph_core import _block_sandpile
+from .graph_core import strip_sandpile
 
 __all__ = [
     "LatticeFunction",
@@ -157,7 +157,7 @@ def check_preservation_lemma(n: int, particles: int) -> PreservationCheck:
         raise PreconditionError("center undefined")
     if particles < 0:
         raise PreconditionError("particle count must be nonnegative")
-    g = _block_sandpile(n, n)
+    g = strip_sandpile(n, n)
     mid = (n - 1) // 2
     center = g.vertex_at(mid, mid)
     res = stabilize(g, point_config(g, center, particles))

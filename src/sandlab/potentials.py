@@ -44,6 +44,7 @@ __all__ = [
 
 DIRECT_SOLVE_LIMIT = 5000
 RESIDUAL_TOLERANCE = 1e-10
+_DUAL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -246,9 +247,7 @@ def analytic_toppling_bounds(g: SandpileGraph, v: int, w: int) -> tuple[float, f
     return total / ((dmax + 1) * pv), (dmax - 1) * total / pv
 
 
-def dual_threshold_bound(
-    g: SandpileGraph, v: int, r: int, w: int, tolerance: float = 1e-9
-):
+def dual_threshold_bound(g: SandpileGraph, v: int, r: int, w: int):
     """Certified bound on the uniform no-topple threshold of a ball.
 
     Scaling the pole-w potential field by the field mass inside the ball
@@ -279,7 +278,7 @@ def dual_threshold_bound(
         -y_prime,
     ]
     max_violation = max(violations)
-    if max_violation > tolerance:
+    if max_violation > _DUAL_TOLERANCE:
         raise InternalError(
             f"dual certificate infeasible (violation {max_violation:.3e})"
         )

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import click
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandlab import build_sandpile, lattice_window, load_graph, save_graph, solve_potential
-from sandlab.cli import main
+from sandlab.cli import cli, main
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,15 @@ def test_verify_passes(grid2_path, capsys):
 
 def test_verify_site_needs_count(grid2_path):
     assert main(["verify", "--graph", grid2_path, "--site", "0"]) == 2
+
+
+def test_verify_draws_below_twice_a_huge_degree(tmp_path, capsys):
+    # degrees of 2**62 + 1: twice that wraps in int64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_vertices": 3, "sink": 2, "edges": [
+        [0, 1, 1], [0, 2, 1 << 62], [1, 2, 1 << 62]]}))
+    assert main(["verify", "--graph", str(path), "--seed", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "identity+conservation: PASS"
 
 
 # -- tcl --------------------------------------------------------------------
@@ -214,6 +224,14 @@ def test_epicenter_trace_artifact(tmp_path, capsys):
     assert len(results["steps"]) >= 1
 
 
+@pytest.mark.parametrize("option", [
+    "--c-sigma", "--c-h", "--max-degree", "--delta-lo", "--alpha", "--g-hat",
+])
+def test_epicenter_takes_no_bound_constants(grid2_path, option):
+    assert main(["epicenter", "--graph", grid2_path, "--source", "0",
+                 "--target", "3", option, "2"]) == 1
+
+
 # -- golden artifacts -------------------------------------------------------
 
 # sha256 of each -o artifact: a change to how graphs are stored or how
@@ -286,6 +304,37 @@ def test_exit_codes():
     assert main(["--help"]) == 0
     assert main(["stabilize", "--graph", "/no/such/file.json",
                  "--uniform", "1"]) == 2
+
+
+def _commands(group, prefix=()):
+    for name, command in group.commands.items():
+        path = prefix + (name,)
+        if isinstance(command, click.Group):
+            yield from _commands(command, path)
+        else:
+            yield " ".join(path), command
+
+
+def test_command_options_are_pinned():
+    # a new knob must show up here as a reviewed change
+    options = {
+        path: sorted(opt for param in command.params for opt in param.opts)
+        for path, command in _commands(cli)
+    }
+    assert options == {
+        "gen": ["--k", "--n", "--output", "-o", "family"],
+        "stabilize": ["--count", "--graph", "--output", "--policy", "--seed",
+                      "--site", "--uniform", "-o"],
+        "tcl exact": ["--graph", "--output", "-o"],
+        "tcl single-site": ["--graph", "--output", "--site", "-o"],
+        "potentials": ["--graph", "--output", "--pole", "-o"],
+        "estimate": ["--family", "--output", "--samples", "--seed", "--sizes",
+                     "-o", "prop"],
+        "flood": ["--graph", "--output", "--radius", "--site", "-o"],
+        "epicenter": ["--graph", "--heuristic", "--max-steps", "--output",
+                      "--source", "--target", "-o"],
+        "verify": ["--count", "--graph", "--seed", "--site"],
+    }
 
 
 def test_malformed_site(grid2_path):
