@@ -9,6 +9,15 @@ is unstable.  The final configuration and the per-vertex toppling counts
 scheduling policies are offered: they are observability knobs, not
 semantics knobs.
 
+The default "batch" policy fires every unstable vertex its full quota each
+round, in int64.  On a lattice block (a grid, line or strip, or any graph
+whose arrays are exactly those ``graph_core`` builds for one, such as a
+``sandlab gen grid`` file loaded back) a round is a shift stencil over the
+rows that can hold unstable sites; on every other graph it is one sparse
+product over all vertices.  Both hand a run that could outgrow int64 to the
+exact fifo worklist.  ``engine_stats`` counts stabilizations by the kernel
+that produced them.
+
 Every stabilization is closed out by an exact integer audit of
 
     final = initial - L^T * score      (L the sink-reduced Laplacian)
@@ -25,6 +34,7 @@ made once when it is built.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -63,11 +73,26 @@ _INT64_SAFE_TOTAL = 1 << 52
 # int64 sums of two counts below this bound are exact
 _INT64_HEADROOM = 1 << 62
 
-_STATS = {"stabilizations": 0, "identity_checks": 0, "identity_failures": 0}
+_STATS = {
+    "stabilizations": 0,
+    "identity_checks": 0,
+    "identity_failures": 0,
+    "lattice_stencil": 0,
+    "sparse_batch": 0,
+    "worklist": 0,
+}
 
 
 def engine_stats() -> dict:
-    """Counters for the always-on stabilization audit (copies, not views)."""
+    """Counters for the always-on stabilization audit (copies, not views).
+
+    ``stabilizations``, ``identity_checks`` and ``identity_failures`` count
+    ``stabilize`` calls and their audits.  ``lattice_stencil``,
+    ``sparse_batch`` and ``worklist`` count stabilizations by the kernel
+    that produced the result: the batch stencil on a lattice block, the
+    batch sparse product on any other graph, and an exact worklist (the
+    fifo, lifo and random policies, and every batch run handed to fifo).
+    """
     return dict(_STATS)
 
 
@@ -192,19 +217,26 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     policy independent; only performance differs.
     """
     c0 = normalize_config(g, counts)
-    if policy == "batch":
-        if _total(c0) < _INT64_SAFE_TOTAL:
-            stable, score = _stabilize_batch_int64(g, c0)
-        else:
-            stable, score = _stabilize_worklist(g, c0, "fifo", None)
-    elif policy in ("fifo", "lifo", "random"):
-        stable, score = _stabilize_worklist(g, c0, policy, seed)
-    else:
+    if policy not in ("batch", "fifo", "lifo", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    return _audit(g, c0, stable, score)
+    out = None
+    if policy == "batch" and _total(c0) < _INT64_SAFE_TOTAL:
+        path = "sparse_batch" if g._lattice is None else "lattice_stencil"
+        out = _stabilize_batch_int64(g, c0)
+    if out is None:
+        path = "worklist"
+        out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
+    _STATS[path] += 1
+    return _audit(g, c0, *out)
 
 
 def _stabilize_batch_int64(g, c0):
+    """Batch rounds in int64: every unstable vertex fires its full quota
+    ``c // degree`` each round.  Returns ``(stable, score)``, or None once
+    a toppling count passes ``_INT64_SAFE_TOTAL``, so that the caller can
+    rerun in exact integers rather than risk 64-bit overflow."""
+    if g._lattice is not None:
+        return _stabilize_lattice(g, c0)
     deg = g.degree
     adj = g.adjacency()
     c = np.array(c0, dtype=np.int64)
@@ -220,9 +252,67 @@ def _stabilize_batch_int64(g, c0):
         if rounds > 50_000_000:
             raise InternalError("batch stabilization failed to converge")
         if z.max() > _INT64_SAFE_TOTAL:
-            # fall back to exact integers rather than risk 64-bit overflow
-            return _stabilize_worklist(g, c0, "fifo", None)
+            return None
     return c, z
+
+
+def _stabilize_lattice(g, c0):
+    """``_stabilize_batch_int64`` on a lattice block, by a shift stencil.
+
+    The counts live in a flat, padded row-major array: row x of the block
+    at ``(x + 1) * W + y`` with ``W = cols + 1``, so that the pad column
+    and the pad rows above and below stand for the sink.  Every degree is
+    4, so a round fires ``k = c >> 2`` (``>> 63`` on pad cells, which never
+    fire), keeps ``c & 3`` and adds ``k`` at the four shifts -1, +1, -W and
+    +W.  A round touches only the whole rows ``[lo, hi)`` that can hold
+    unstable sites: the range grows by one row a round, since a firing
+    reaches only the rows next to it, and every 8 rounds it shrinks back
+    to the rows that do.
+    """
+    rows, cols, shift = g._lattice
+    w = cols + 1
+    c0 = np.asarray(c0, dtype=np.int64)
+    over = c0 >= 4
+    if not np.count_nonzero(over):
+        return c0.copy(), np.zeros(len(c0), dtype=np.int64)
+    unstable = np.flatnonzero(over)
+    first, last = int(unstable[0]), int(unstable[-1])
+    c = np.zeros(len(shift), dtype=np.int64)
+    z = np.zeros(len(shift), dtype=np.int64)
+    c.reshape(rows + 2, w)[1:-1, :cols] = c0.reshape(rows, cols)
+    lo, hi = (first // cols + 1) * w, (last // cols + 2) * w
+    end = (rows + 1) * w
+    k = c[lo:hi] >> shift[lo:hi]
+    rounds = 0
+    while True:
+        z[lo:hi] += k
+        c[lo:hi] &= 3
+        c[lo - 1:hi - 1] += k
+        c[lo + 1:hi + 1] += k
+        c[lo - w:hi - w] += k
+        c[lo + w:hi + w] += k
+        rounds += 1
+        lo, hi = max(lo - w, w), min(hi + w, end)
+        k = c[lo:hi] >> shift[lo:hi]
+        if rounds % 8:
+            if not np.count_nonzero(k):
+                break
+            continue
+        if rounds > 50_000_000:
+            raise InternalError("batch stabilization failed to converge")
+        # Checked every 8 rounds, not every round: a round adds at most
+        # total / 4 < 2**50 to a count, so z stays below
+        # 2**52 + 8 * 2**50 < 2**63.  [lo, hi) holds every row fired since
+        # the last check, because it only grows between checks.
+        if z[lo:hi].max() > _INT64_SAFE_TOTAL:
+            return None
+        fire = np.flatnonzero(k)
+        if not fire.size:
+            break
+        first, last = (lo + int(fire[0])) // w * w, ((lo + int(fire[-1])) // w + 1) * w
+        k = k[first - lo:last - lo]
+        lo, hi = first, last
+    return tuple(a.reshape(rows + 2, w)[1:-1, :cols].ravel() for a in (c, z))
 
 
 def _stabilize_worklist(g, c0, policy, seed):
@@ -270,10 +360,7 @@ def _audit(g, c0, stable, score):
     stable, score = np.asarray(stable), np.asarray(score)
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
-    boundary = np.flatnonzero(g.sink_mult)
-    absorbed = sum(
-        k * z for k, z in zip(g.sink_mult[boundary].tolist(), score[boundary].tolist())
-    )
+    absorbed = sum(map(operator.mul, g._boundary_mult, score[g._boundary].tolist()))
     received = _balance_check(g, c0, stable, score, absorbed)
     if received is None:
         _STATS["identity_failures"] += 1
@@ -301,10 +388,13 @@ def _balance_check(g, c0, stable, score, absorbed):
     prove that nothing can overflow: with m ordinary vertices, every
     per-vertex term and every sum it forms is bounded in magnitude by
 
-        max|score| * 2 * max(degree) + m * max|c0|  <  2**62
+        max(score) * 2 * max(degree) + m * max|c0|  <  2**62
 
-    (``stable`` is summed only once the identity and the ranges hold, when
-    its sum is at most that of ``c0``).
+    A score with a negative entry is rejected whatever wraps, so only its
+    largest entry counts.  Conservation sums ``c0 - stable`` once: int64
+    addition is exact modulo 2**64, and the true sum, the particles that
+    reached the sink, lies in [0, sum(c0)] once the identity and the
+    ranges hold.
     Inputs past the bound, such as the line family's counts, take the
     exact Python-int arithmetic of ``_balance_check_exact``.  Both paths
     accept and reject the same inputs and return equal counts.
@@ -314,7 +404,7 @@ def _balance_check(g, c0, stable, score, absorbed):
     if not len(c) == len(s) == len(z) == m:
         return None
     if object in (c.dtype, s.dtype, z.dtype) or (
-        _magnitude(z) * 2 * int(g.degree.max()) + m * _magnitude(c) >= _INT64_HEADROOM
+        int(z.max()) * 2 * g._max_degree + m * _magnitude(c) >= _INT64_HEADROOM
     ):
         return _balance_check_exact(g, c, s, z, absorbed)
     return _balanced(g.degree, c, s, z, g.adjacency() @ z, absorbed)
@@ -338,16 +428,17 @@ def _balance_check_exact(g, c0, stable, score, absorbed):
 
 def _balanced(deg, c, s, z, inflow, absorbed):
     """The checks of ``_balance_check`` on arrays of one dtype."""
-    if not (
-        np.array_equal(s, c - deg * z + inflow)
-        and (s >= 0).all()
-        and (s < deg).all()
-        and (z >= 0).all()
+    received = c + inflow
+    if (
+        np.count_nonzero(s != received - deg * z)
+        or s.min() < 0
+        or (deg - s).min() <= 0
+        or z.min() < 0
     ):
         return None
-    if int(c.sum()) != int(s.sum()) + absorbed:
+    if int((c - s).sum()) != absorbed:  # sum(c) = sum(s) + absorbed
         return None
-    return _counts(c + inflow)
+    return received
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,34 @@ class SandpileGraph:
         coords = None
         if graph.coords:
             coords = {w - (w > sink): tuple(xy) for w, xy in graph.coords.items() if w != sink}
-        self._store(adjacency, np.array(degree, dtype=np.int64), sink_mult, coords)
+        degree = np.array(degree, dtype=np.int64)
+        block = _block_shape(adjacency, degree, sink_mult)
+        self._store(adjacency, degree, sink_mult, coords, block)
 
-    def _store(self, adjacency, degree, sink_mult, coords):
-        """Keep the arrays and index the coordinates."""
+    def _store(self, adjacency, degree, sink_mult, coords, block=None):
+        """Keep the arrays, index the coordinates and cache what every
+        stabilization audit reads.
+
+        ``block`` is ``(rows, cols)`` when the arrays are exactly those of
+        ``_block_sandpile(rows, cols)``; the engine then stabilizes with a
+        shift stencil on a padded row-major array (``_lattice``: the shape
+        and, per padded cell, the right shift that gives its firing count:
+        2 on the rows x cols real cells, 63 on the pad column and the pad
+        rows above and below, which stand for the sink and never fire).
+        """
         self.n_ordinary = self.sink = adjacency.shape[0]
         self._adjacency = adjacency
         self.degree = degree
         self.sink_mult = sink_mult
+        self._boundary = np.flatnonzero(sink_mult)
+        self._boundary_mult = sink_mult[self._boundary].tolist()
+        self._max_degree = int(degree.max())
+        self._lattice = None
+        if block is not None:
+            rows, cols = block
+            shift = np.full((rows + 2, cols + 1), 63, dtype=np.int64)
+            shift[1:-1, :cols] = 2
+            self._lattice = (rows, cols, shift.ravel())
         self._eta = None
         self.coords = coords
         self.coord_index = None
@@ -148,7 +168,7 @@ class SandpileGraph:
         adj = self._adjacency
         rows = np.repeat(np.arange(self.n_ordinary), np.diff(adj.indptr))
         upper = adj.indices > rows
-        boundary = np.flatnonzero(self.sink_mult)
+        boundary = self._boundary
         u = np.concatenate([rows[upper], boundary])
         v = np.concatenate([adj.indices[upper], np.full(boundary.size, self.sink)])
         mult = np.concatenate([adj.data[upper], self.sink_mult[boundary]])
@@ -204,7 +224,7 @@ class SandpileGraph:
         strictly inside the ordinary part; sink-adjacent vertices have 0.
         """
         if self._eta is None:
-            self._eta = self.ordinary_distances(np.flatnonzero(self.sink_mult).tolist())
+            self._eta = self.ordinary_distances(self._boundary.tolist())
         return self._eta
 
     def ordinary_ball(self, v, r):
@@ -343,14 +363,11 @@ def lattice_window(rows: int, cols: int) -> Multigraph:
     return Multigraph(rows * cols, edges, coords)
 
 
-def _block_sandpile(rows: int, cols: int) -> SandpileGraph:
-    """Collapse the exterior of a rows x cols lattice block directly.
-
-    Interior adjacency is the unit lattice; each vertex gets 4 minus its
-    internal degree as sink multiplicity, which is exactly what collapsing
-    the surrounding infinite lattice produces.  The CSR arrays come from
-    index arithmetic on v = x * cols + y.
-    """
+def _block_arrays(rows: int, cols: int):
+    """CSR ``indptr`` and ``indices`` of the unit-lattice adjacency of a
+    rows x cols block, and each vertex's sink multiplicity, 4 minus its
+    internal degree (what collapsing the surrounding infinite lattice
+    produces).  Index arithmetic on v = x * cols + y."""
     m = rows * cols
     v = np.arange(m)
     x, y = np.divmod(v, cols)
@@ -359,13 +376,48 @@ def _block_sandpile(rows: int, cols: int) -> SandpileGraph:
     inside = np.stack([x > 0, y > 0, y < cols - 1, x < rows - 1], axis=1)
     internal = inside.sum(axis=1)
     indptr = np.concatenate([[0], np.cumsum(internal)])
-    adjacency = sp.csr_matrix(
-        (np.ones(indptr[-1], dtype=np.int64), nbrs[inside], indptr), shape=(m, m)
+    return indptr, nbrs[inside], 4 - internal
+
+
+def _block_shape(adjacency, degree, sink_mult):
+    """``(rows, cols)`` when the arrays are exactly those of
+    ``_block_sandpile(rows, cols)``, else None.
+
+    A block's vertex 0 neighbors 1 and ``cols``, so row 0 of the adjacency
+    names the shape.  A line reads as 1 x m: its arrays are those of the
+    m x 1 block too, and both shapes stabilize alike.
+    """
+    m = len(degree)
+    if (degree != 4).any():
+        return None
+    first = adjacency.indices[adjacency.indptr[0]:adjacency.indptr[1]]
+    cols = int(first[-1]) if len(first) == 2 else m
+    if m % cols:
+        return None
+    rows = m // cols
+    indptr, indices, block_sink = _block_arrays(rows, cols)
+    # with these and degree 4, every multiplicity is 1
+    same = (
+        np.array_equal(adjacency.indptr, indptr)
+        and np.array_equal(adjacency.indices, indices)
+        and np.array_equal(sink_mult, block_sink)
     )
+    return (rows, cols) if same else None
+
+
+def _block_sandpile(rows: int, cols: int) -> SandpileGraph:
+    """Collapse the exterior of a rows x cols lattice block directly,
+    from the arrays of ``_block_arrays``."""
+    m = rows * cols
+    indptr, indices, sink_mult = _block_arrays(rows, cols)
+    adjacency = sp.csr_matrix(
+        (np.ones(indptr[-1], dtype=np.int64), indices, indptr), shape=(m, m)
+    )
+    x, y = np.divmod(np.arange(m), cols)
     coords = dict(enumerate(zip(x.tolist(), y.tolist())))
     # built from arrays, not a Multigraph, and connected to the sink by construction
     g = SandpileGraph.__new__(SandpileGraph)
-    g._store(adjacency, np.full(m, 4, dtype=np.int64), 4 - internal, coords)
+    g._store(adjacency, np.full(m, 4, dtype=np.int64), sink_mult, coords, (rows, cols))
     return g
 
 

@@ -1,6 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandlab import (
@@ -9,10 +11,14 @@ from sandlab import (
     ResourceLimitError,
     SandpileGraph,
     UniformThreshold,
+    build_sandpile,
     engine_stats,
     flood_count,
+    graph_from_json,
+    graph_to_json,
     grid_sandpile,
     is_recurrent,
+    lattice_window,
     line_sandpile,
     max_stable,
     min_to_topple,
@@ -583,3 +589,139 @@ def test_stats_move_with_stabilizations(grid2):
     assert after["stabilizations"] == before["stabilizations"] + 1
     assert after["identity_checks"] == before["identity_checks"] + 1
     assert after["identity_failures"] == before["identity_failures"]
+
+
+# -- lattice stencil --------------------------------------------------------
+
+
+def _kernel_outcomes(g, c):
+    """(stable, score) as lists from the stencil, the sparse batch kernel
+    and the fifo worklist, in that order."""
+    sparse = copy.copy(g)
+    sparse._lattice = None
+    runs = (
+        engine_mod._stabilize_batch_int64(g, c),
+        engine_mod._stabilize_batch_int64(sparse, c),
+        engine_mod._stabilize_worklist(g, c, "fifo", None),
+    )
+    assert all(a.dtype == np.int64 for run in runs for a in run)
+    return [tuple(a.tolist() for a in run) for run in runs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.integers(1, 12),
+    site=st.floats(0, 1, exclude_max=True),
+    drop=st.integers(0, 3000),
+)
+@example(rows=1, cols=1, seed=0, top=1, site=0.0, drop=2000)
+@example(rows=1, cols=12, seed=1, top=4, site=0.5, drop=2000)
+@example(rows=12, cols=1, seed=2, top=4, site=0.0, drop=2000)
+@example(rows=12, cols=12, seed=3, top=12, site=0.5, drop=3000)
+def test_lattice_stencil_matches_sparse_and_fifo(rows, cols, seed, top, site, drop):
+    g = strip_sandpile(rows, cols)
+    assert g._lattice is not None
+    c = np.random.default_rng(seed).integers(0, top, size=g.n_ordinary)
+    c[int(site * g.n_ordinary)] += drop
+    stencil, sparse, fifo = _kernel_outcomes(g, c)
+    assert stencil == sparse == fifo
+    # a drop above what the block can hold stable reaches the sink
+    if drop >= 4 * g.n_ordinary:
+        assert sum(stencil[0]) < int(c.sum())
+
+
+def _path_counts(g, c):
+    keys = ("lattice_stencil", "sparse_batch", "worklist")
+    before = engine_stats()
+    res = stabilize(g, c)
+    after = engine_stats()
+    assert after["identity_checks"] - before["identity_checks"] == 1
+    assert sum(after[k] - before[k] for k in keys) == 1
+    stable, score = engine_mod._stabilize_worklist(g, c, "fifo", None)
+    assert (res.stable, res.score) == (stable.tolist(), score.tolist())
+    return {k: after[k] - before[k] for k in keys}
+
+
+def _window_interior(rows, cols, cells):
+    window = lattice_window(rows, cols)
+    return build_sandpile(window, [x * cols + y for x, y in cells])
+
+
+def test_lattice_blocks_take_the_stencil():
+    full = [(x, y) for x in range(1, 6) for y in range(1, 8)]
+    graphs = [
+        grid_sandpile(5),
+        line_sandpile(7),
+        strip_sandpile(3, 6),
+        strip_sandpile(6, 1),
+        graph_from_json(graph_to_json(grid_sandpile(6))),
+        _window_interior(7, 9, full),
+    ]
+    for g in graphs:
+        c = [9] * g.n_ordinary
+        assert _path_counts(g, c) == {"lattice_stencil": 1, "sparse_batch": 0, "worklist": 0}
+        assert _path_counts(g, [1] * g.n_ordinary)["lattice_stencil"] == 1
+
+
+def _swapped_grid5(x, y):
+    """Grid 5 with the lattice edges (x,y)-(x,y+1) and (x+1,y)-(x+1,y+1)
+    swapped for the diagonals (x,y)-(x+1,y+1) and (x,y+1)-(x+1,y): every
+    degree stays 4."""
+    v = 5 * x + y
+    doc = graph_to_json(grid_sandpile(5))
+    doc["edges"] = [e for e in doc["edges"] if e[:2] not in ([v, v + 1], [v + 5, v + 6])]
+    doc["edges"] += [[v, v + 6, 1], [v + 1, v + 5, 1]]
+    return graph_from_json(doc)
+
+
+def test_near_lattices_take_the_sparse_kernel():
+    # an L-shaped window: every degree is 4, but it is no block
+    ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
+    for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
+        assert g._lattice is None
+        assert (g.degree == 4).all()
+        c = [9] * g.n_ordinary
+        assert _path_counts(g, c) == {"lattice_stencil": 0, "sparse_batch": 1, "worklist": 0}
+
+
+def test_worklist_policies_and_large_totals_count_as_worklist(line2):
+    g = grid_sandpile(4)
+    assert _path_counts(g, [0] * 16)["lattice_stencil"] == 1
+    before = engine_stats()["worklist"]
+    for policy in ("fifo", "lifo", "random"):
+        stabilize(g, [9] * 16, policy=policy, seed=1)
+    assert engine_stats()["worklist"] == before + 3
+    assert _path_counts(line2, [2**53, 0])["worklist"] == 1
+
+
+def test_lattice_overflow_fallback_uses_fifo_worklist(monkeypatch):
+    # No count below the bound topples a vertex of a small lattice block
+    # as often as the bound, so the bound is lowered only once the
+    # stencil runs, as if its counts had grown past int64 safety.
+    g = grid_sandpile(12)
+    c = point_config(g, 78, 2000)
+    want = engine_mod._stabilize_lattice(g, c)
+    assert max(want[1]) > 100
+    calls = []
+    worklist, lattice = engine_mod._stabilize_worklist, engine_mod._stabilize_lattice
+
+    def spy(*args):
+        calls.append(args[2:])
+        return worklist(*args)
+
+    def lowered(*args):
+        monkeypatch.setattr(engine_mod, "_INT64_SAFE_TOTAL", 100)
+        return lattice(*args)
+
+    monkeypatch.setattr(engine_mod, "_stabilize_worklist", spy)
+    monkeypatch.setattr(engine_mod, "_stabilize_lattice", lowered)
+    before = engine_stats()
+    res = stabilize(g, c)
+    after = engine_stats()
+    assert calls == [("fifo", None)]
+    assert (res.stable, res.score) == tuple(a.tolist() for a in want)
+    assert after["worklist"] == before["worklist"] + 1
+    assert after["lattice_stencil"] == before["lattice_stencil"]
