@@ -7,12 +7,22 @@ solve is checked against a harmonicity residual of at most 1e-10.
 
 This module alone holds the Laplacian solver state: one record per graph,
 in a ``WeakKeyDictionary`` so that it dies with the graph, with the float
-Laplacian and degrees, the LU factor reused across poles, and the field
-cache.  Graphs above ``DIRECT_SOLVE_LIMIT`` ordinary vertices solve each
-pole by Jacobi-preconditioned conjugate gradient instead: factoring them
-too cut the benchmark's ``fields`` wall time from 1.40 s to 0.19 s, but
-raised its peak RSS from 85.6 MB to 98.7 MB (95.6 MB with MMD_AT_PLUS_A
-ordering), so CG stays until a factorization uses less memory.
+Laplacian and degrees, what the solve path keeps across poles, and a field
+cache of at most ``_FIELD_CACHE_BYTES`` (oldest pole evicted first).  The
+sink-reduced Laplacian ``L x = b`` is solved one of three ways:
+
+- graphs of at most ``DIRECT_SOLVE_LIMIT`` ordinary vertices: a sparse LU
+  factor (COLAMD order), built once and reused for every pole;
+- larger lattice blocks (grids, lines and strips, as recognised by
+  ``graph_core``): exactly, by the sine transform.  There ``L`` is the
+  Dirichlet Laplacian ``T_rows (x) I + I (x) T_cols`` with
+  ``T_k = tridiag(-1, 2, -1)``, which the orthonormal DST-I diagonalizes
+  (the fast Poisson solver of Buzbee, Golub & Nielson 1970); the DST is
+  one ``numpy.fft.rfft`` of the odd extension, so no factor is stored;
+- every other graph above the limit: Jacobi-preconditioned conjugate
+  gradient.  A factor of such graphs costs memory (COLAMD on grid 100
+  adds about 11 MB of peak RSS), so CG stays until a factorization
+  uses less.
 
 Potentials certify particle thresholds two ways: closed-form lower and
 upper bounds on the single-site toppling threshold, and a feasible dual
@@ -45,6 +55,8 @@ __all__ = [
 DIRECT_SOLVE_LIMIT = 5000
 RESIDUAL_TOLERANCE = 1e-10
 _DUAL_TOLERANCE = 1e-9
+# each cached field holds 8 bytes per ordinary vertex
+_FIELD_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -106,15 +118,45 @@ def _unit_vector(m, i):
     return rhs
 
 
+def _dirichlet_eigenvalues(k):
+    """Eigenvalues 2 - 2 cos(j pi / (k + 1)), j = 1..k, of tridiag(-1, 2, -1)."""
+    return 2.0 - 2.0 * np.cos(np.arange(1, k + 1) * (np.pi / (k + 1)))
+
+
+def _dst(a):
+    """Orthonormal DST-I along the last axis; it is its own inverse.
+
+    The real FFT of the odd extension [0, a, 0, -a reversed] has imaginary
+    part -2 sum_j a_j sin(j k pi / (n + 1)) at k = 1..n.
+    """
+    n = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1 : n + 1] = a
+    ext[..., n + 2 :] = -a[..., ::-1]
+    return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
+
+
+def _dst2(a):
+    """S_rows a S_cols: the DST-I along both axes of a rows x cols array."""
+    return _dst(_dst(a).T).T
+
+
 class _Solver:
-    """One graph's solver state: float Laplacian and degrees, LU, field cache."""
+    """One graph's solver state: float Laplacian and degrees, the LU factor
+    or the lattice spectrum, and the field cache."""
 
     def __init__(self, g: SandpileGraph):
         self.lap = g.laplacian().astype(float)
         self.degree = np.asarray(g.degree, dtype=float)
         self.lu = None
+        self.spectrum = None
         if g.n_ordinary <= DIRECT_SOLVE_LIMIT:
             self.lu = spla.splu(sp.csc_matrix(self.lap))
+        elif g._lattice is not None:
+            rows, cols = g._lattice[:2]
+            self.spectrum = (
+                _dirichlet_eigenvalues(rows)[:, None] + _dirichlet_eigenvalues(cols)
+            )
         self.fields: dict[int, PotentialField] = {}
 
 
@@ -132,6 +174,9 @@ def _laplacian_solve(rec: _Solver, rhs: np.ndarray) -> np.ndarray:
     """Solve L x = rhs for the sink-reduced Laplacian."""
     if rec.lu is not None:
         return rec.lu.solve(rhs)
+    if rec.spectrum is not None:
+        spectrum = rec.spectrum
+        return _dst2(_dst2(rhs.reshape(spectrum.shape)) / spectrum).ravel()
     m = len(rhs)
     precond = spla.LinearOperator((m, m), matvec=lambda x: x / rec.degree)
     x, info = spla.cg(rec.lap, rhs, rtol=1e-12, atol=1e-14, maxiter=20 * m, M=precond)
@@ -165,6 +210,8 @@ def solve_potential(g: SandpileGraph, w: int) -> PotentialField:
         raise InternalError(f"harmonicity residual {residual:.3e} too large")
     fld = PotentialField(pole=int(w), values=values, residual=residual)
     rec.fields[w] = fld
+    while len(rec.fields) * values.nbytes > _FIELD_CACHE_BYTES:
+        del rec.fields[next(iter(rec.fields))]
     return fld
 
 

@@ -168,6 +168,27 @@ def test_potentials_csv_is_direct_lu_solve(tmp_path):
     assert out.read_bytes() == want.encode()
 
 
+def test_potentials_csv_above_the_lu_limit_is_stable_and_exact(tmp_path):
+    # m = 5184 is above potentials.DIRECT_SOLVE_LIMIT: the lattice block
+    # takes the sine-transform solve
+    path = tmp_path / "g72.json"
+    assert main(["gen", "grid", "--n", "72", "-o", str(path)]) == 0
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["potentials", "--graph", str(path),
+                     "--pole", "30,40", "-o", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    g = load_graph(path)
+    w = g.vertex_at(30, 40)
+    rhs = np.zeros(g.n_ordinary)
+    rhs[w] = 1.0
+    x = spla.splu(sp.csc_matrix(g.laplacian().astype(float))).solve(rhs)
+    lines = outs[0].read_text().splitlines()
+    assert lines[0] == "vertex,value" and len(lines) == g.n_ordinary + 1
+    got = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.abs(got - x / x[w]).max() <= 1e-12
+
+
 # -- estimate ---------------------------------------------------------------
 
 

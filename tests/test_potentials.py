@@ -5,6 +5,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sandlab import (
     PreconditionError,
@@ -19,12 +23,14 @@ from sandlab import (
     potential_checks,
     solve_potential,
     stabilize,
+    strip_sandpile,
 )
 from sandlab import engine as engine_mod
 from sandlab import potentials as potentials_mod
 from sandlab.errors import InternalError
 
 import oracles
+from test_engine import _swapped_grid5, _window_interior
 
 
 def test_grid2_field_exact(grid2):
@@ -107,6 +113,98 @@ def test_cg_path_matches_lu(monkeypatch):
         r = effective_resistance(g, u, v)
         assert abs(r - effective_resistance(g, v, u)) <= 1e-9
         assert abs(r - want) <= 1e-9
+
+
+def _lu_solve(g, rhs):
+    """Reference solve: a COLAMD sparse LU of the float Laplacian."""
+    return spla.splu(sp.csc_matrix(g.laplacian().astype(float))).solve(rhs)
+
+
+def _lu_field(g, w):
+    x = _lu_solve(g, np.eye(1, g.n_ordinary, w).ravel())
+    return x / x[w]
+
+
+def _lu_resistance(g, u, v):
+    rhs = np.zeros(g.n_ordinary)
+    if u != g.sink:
+        rhs[u] += 1.0
+    if v != g.sink:
+        rhs[v] -= 1.0
+    x = _lu_solve(g, rhs)
+    return (x[u] if u != g.sink else 0.0) - (x[v] if v != g.sink else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    pole=st.floats(0, 1, exclude_max=True),
+    other=st.floats(0, 1, exclude_max=True),
+)
+@example(rows=1, cols=1, pole=0.0, other=0.0)
+@example(rows=1, cols=12, pole=0.5, other=0.0)
+@example(rows=12, cols=1, pole=0.0, other=0.9)
+@example(rows=12, cols=12, pole=0.5, other=0.1)
+def test_spectral_path_matches_lu(rows, cols, pole, other):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
+        g = strip_sandpile(rows, cols)
+        m = g.n_ordinary
+        w, u = int(pole * m), int(other * m)
+        fld = solve_potential(g, w)
+        rec = potentials_mod._solver(g)
+        assert rec.lu is None and rec.spectrum.shape == (rows, cols)
+        assert g._lattice[:2] == (rows, cols)
+        assert np.abs(fld.values - _lu_field(g, w)).max() <= 1e-12
+        assert fld.residual <= 1e-14
+        pairs = [(g.sink, u), (u, g.sink)] + ([(w, u), (u, w)] if u != w else [])
+        for a, b in pairs:
+            assert abs(effective_resistance(g, a, b) - _lu_resistance(g, a, b)) <= 1e-12
+
+
+def test_dst_is_the_orthonormal_sine_matrix():
+    rng = np.random.default_rng(5)
+    for n in range(1, 21):
+        j = np.arange(1, n + 1)
+        sine = np.sqrt(2 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        a = rng.standard_normal((3, n))
+        assert np.abs(potentials_mod._dst(a) - a @ sine).max() <= 1e-13
+        assert np.abs(potentials_mod._dst(potentials_mod._dst(a)) - a).max() <= 1e-13
+
+
+def test_non_lattice_graphs_above_the_limit_take_cg(monkeypatch):
+    ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
+    for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
+        assert g._lattice is None
+        m = g.n_ordinary
+        for w in (0, m // 2, m - 1):
+            fld = solve_potential(g, w)
+            assert np.abs(fld.values - _lu_field(g, w)).max() <= 1e-9
+            assert fld.residual <= potentials_mod.RESIDUAL_TOLERANCE
+        for u, v in ((0, m - 1), (g.sink, m // 2)):
+            assert abs(effective_resistance(g, u, v) - _lu_resistance(g, u, v)) <= 1e-9
+        rec = potentials_mod._solver(g)
+        assert rec.lu is None and rec.spectrum is None
+
+
+@pytest.mark.parametrize("limit", [potentials_mod.DIRECT_SOLVE_LIMIT, 0])
+def test_field_cache_stays_within_budget(monkeypatch, limit):
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", limit)
+    g = grid_sandpile(8)
+    field_bytes = 8 * g.n_ordinary
+    monkeypatch.setattr(potentials_mod, "_FIELD_CACHE_BYTES", 3 * field_bytes + 100)
+    first = solve_potential(g, 0)
+    rec = potentials_mod._solver(g)
+    for w in range(1, 7):
+        solve_potential(g, w)
+        assert len(rec.fields) * field_bytes <= potentials_mod._FIELD_CACHE_BYTES
+    assert list(rec.fields) == [4, 5, 6]
+    again = solve_potential(g, 0)
+    assert again is not first
+    assert again.values.tobytes() == first.values.tobytes()
+    assert list(rec.fields) == [5, 6, 0]
 
 
 def test_solver_state_dies_with_graph():
