@@ -13,10 +13,10 @@ The default "batch" policy fires every unstable vertex its full quota each
 round, in int64.  On a lattice block (a grid, line or strip, or any graph
 whose arrays are exactly those ``graph_core`` builds for one, such as a
 ``sandlab gen grid`` file loaded back) a round is a shift stencil over the
-rows that can hold unstable sites; on every other graph it is one sparse
-product over all vertices.  Both hand a run that could outgrow int64 to the
-exact fifo worklist.  ``engine_stats`` counts stabilizations by the kernel
-that produced them.
+rows that can hold unstable sites; on every other graph it sums each
+vertex's inflow over the graph's CSR arrays (``SandpileGraph._inflow``).
+Both hand a run that could outgrow int64 to the exact fifo worklist.
+``engine_stats`` counts stabilizations by the kernel that produced them.
 
 Every stabilization is closed out by an exact integer audit of
 
@@ -238,7 +238,6 @@ def _stabilize_batch_int64(g, c0):
     if g._lattice is not None:
         return _stabilize_lattice(g, c0)
     deg = g.degree
-    adj = g.adjacency()
     c = np.array(c0, dtype=np.int64)
     z = np.zeros(g.n_ordinary, dtype=np.int64)
     rounds = 0
@@ -247,7 +246,7 @@ def _stabilize_batch_int64(g, c0):
         if not k.any():
             break
         z += k
-        c += adj @ k - k * deg
+        c += g._inflow(k) - k * deg
         rounds += 1
         if rounds > 50_000_000:
             raise InternalError("batch stabilization failed to converge")
@@ -317,8 +316,7 @@ def _stabilize_lattice(g, c0):
 
 def _stabilize_worklist(g, c0, policy, seed):
     deg = g.degree.tolist()
-    adj = g.adjacency()
-    ptr, nbr, mult = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    ptr, nbr, mult = g.indptr.tolist(), g.indices.tolist(), g.mult.tolist()
     nbrs = [list(zip(nbr[a:b], mult[a:b])) for a, b in zip(ptr, ptr[1:])]
     c = np.asarray(c0).tolist()
     z = [0] * g.n_ordinary
@@ -384,8 +382,8 @@ def _balance_check(g, c0, stable, score, absorbed):
     (initial placement plus inflow) as a ``_counts`` array when it holds,
     else None.  The three vectors may be sequences or arrays.
 
-    The check is one int64 product with ``g.adjacency()`` when the inputs
-    prove that nothing can overflow: with m ordinary vertices, every
+    The check takes each vertex's inflow (``g._inflow``) in int64 when the
+    inputs prove that nothing can overflow: with m ordinary vertices, every
     per-vertex term and every sum it forms is bounded in magnitude by
 
         max(score) * 2 * max(degree) + m * max|c0|  <  2**62
@@ -407,7 +405,7 @@ def _balance_check(g, c0, stable, score, absorbed):
         int(z.max()) * 2 * g._max_degree + m * _magnitude(c) >= _INT64_HEADROOM
     ):
         return _balance_check_exact(g, c, s, z, absorbed)
-    return _balanced(g.degree, c, s, z, g.adjacency() @ z, absorbed)
+    return _balanced(g.degree, c, s, z, g._inflow(z), absorbed)
 
 
 def _magnitude(a) -> int:
@@ -419,11 +417,7 @@ def _balance_check_exact(g, c0, stable, score, absorbed):
     """``_balance_check`` in Python integers (object arrays), for inputs of
     any size."""
     c, s, z = (np.array([int(x) for x in a], dtype=object) for a in (c0, stable, score))
-    adj = g.adjacency()
-    rows = np.repeat(np.arange(g.n_ordinary), np.diff(adj.indptr))
-    inflow = np.zeros(g.n_ordinary, dtype=object)
-    np.add.at(inflow, rows, adj.data.astype(object) * z[adj.indices])
-    return _balanced(g.degree.astype(object), c, s, z, inflow, absorbed)
+    return _balanced(g.degree.astype(object), c, s, z, g._inflow(z), absorbed)
 
 
 def _balanced(deg, c, s, z, inflow, absorbed):
@@ -630,7 +624,9 @@ def spanning_tree_count(g: SandpileGraph) -> int:
     multigraph and must equal the number of recurrent stable states.
     """
     m = g.n_ordinary
-    a = g.laplacian().toarray().tolist()
+    a = np.diag(g.degree)
+    a[np.repeat(np.arange(m), np.diff(g.indptr)), g.indices] = -g.mult
+    a = a.tolist()
     sign = 1
     prev = 1
     for k in range(m - 1):

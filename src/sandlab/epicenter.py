@@ -423,7 +423,7 @@ def _bfs_path(g, p, q):
     vertex's predecessor is its neighbor that the search took from the
     queue first, i.e. the neighbor it reached first.
     """
-    order = _bfs(g.adjacency(), [p])
+    order = _bfs(g.indptr, g.indices, [p])
     if q not in order:
         raise PreconditionError("target unreachable without the sink")
     rank = dict(zip(order, range(len(order))))

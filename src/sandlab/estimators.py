@@ -412,7 +412,7 @@ def _inner_boundary(g, ball):
     outside = np.ones(g.n_ordinary, dtype=np.int64)
     outside[ball] = 0
     # multiplicity from each vertex to the ordinary vertices outside the ball
-    leaving = g.adjacency() @ outside
+    leaving = g._inflow(outside)
     return ball[(leaving[ball] > 0) | (g.sink_mult[ball] > 0)].tolist()
 
 

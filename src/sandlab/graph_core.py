@@ -5,11 +5,14 @@ sink vertex; all other vertices are called ordinary.  Ordinary vertices are
 always labeled 0..m-1 and the sink is labeled m, so particle configurations
 can be stored as dense integer vectors.
 
-A ``SandpileGraph`` stores its graph once, as arrays: the ordinary-to-
-ordinary adjacency in CSR form (int64 multiplicities, rows sorted), plus the
-degree and the sink multiplicity of each ordinary vertex.  The sorted edge
-tuple, neighbor lists, the Laplacian, distances and balls are all read from
-these arrays, and the lattice families build them by index arithmetic.
+A ``SandpileGraph`` stores its graph once, as plain numpy arrays: the
+ordinary-to-ordinary adjacency in CSR form (``indptr``, ``indices`` and
+int64 ``mult``, rows sorted), plus the degree and the sink multiplicity of
+each ordinary vertex.  The sorted edge tuple, neighbor lists, distances,
+balls and each vertex's inflow are all read from these arrays, and the
+lattice families build them by index arithmetic.  Only ``adjacency()`` and
+``laplacian()`` build scipy matrices, on request, so that importing and
+using this module loads no scipy.
 
 Distances and balls are measured in the sink-deleted subgraph: the sink is
 an absorbing boundary, not a thoroughfare.  ``metric_query`` additionally
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PreconditionError
 
@@ -57,24 +59,39 @@ class Multigraph:
 
     Edges are canonicalized on construction: parallel entries are merged by
     summing multiplicities, endpoints are stored as (min, max), and the edge
-    list is sorted.  Self loops are rejected.
+    list is sorted.  Self loops, endpoints out of range and multiplicities
+    below 1 are rejected, naming the first such edge in input order.
     """
 
     def __init__(self, vertex_count, edges, coords=None):
         if vertex_count < 1:
             raise PreconditionError("multigraph needs at least one vertex")
-        merged: dict[tuple[int, int], int] = {}
-        for u, v, mult in edges:
+        edges = list(edges)
+        try:
+            table = np.array(edges, dtype=np.int64).reshape(len(edges), 3)
+        except OverflowError:  # an entry past int64: compare in Python ints
+            table = np.array(edges, dtype=object).reshape(len(edges), 3)
+        u, v, mult = table.T
+        bad = (u == v) | (u < 0) | (v < 0) | (u >= vertex_count) | (v >= vertex_count)
+        bad |= mult < 1
+        if bad.any():
+            u, v, mult = edges[int(bad.argmax())]
             if u == v:
                 raise PreconditionError(f"self loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise PreconditionError(f"edge ({u},{v}) out of range")
-            if mult < 1:
-                raise PreconditionError(f"edge ({u},{v}) has multiplicity {mult}")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0) + int(mult)
+            raise PreconditionError(f"edge ({u},{v}) has multiplicity {mult}")
+        lo = np.minimum(u, v).astype(np.int64)
+        hi = np.maximum(u, v).astype(np.int64)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        starts = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1))
+        # merged multiplicities are summed in Python ints, which cannot wrap
+        merged = np.add.reduceat(mult[order].astype(object), starts)
         self.vertex_count = int(vertex_count)
-        self.edges = tuple(sorted((u, v, m) for (u, v), m in merged.items()))
+        # the edges as int64 endpoint columns and exact multiplicities
+        self._columns = (lo[starts], hi[starts], merged)
+        self.edges = tuple(zip(*(a.tolist() for a in self._columns)))
         self.coords = dict(coords) if coords else None
 
 
@@ -102,26 +119,29 @@ class SandpileGraph:
                 raise PreconditionError(f"vertex {v} has degree {d}")
         # each edge has an ordinary end, whose degree bounds its multiplicity;
         # labels above the sink move down one to make room for it at m
-        u, v, mult = np.array(graph.edges, dtype=np.int64).reshape(-1, 3).T
+        u, v, mult = graph._columns
+        mult = mult.astype(np.int64)
         at_sink = (u == sink) | (v == sink)
         ends = (u + v - sink)[at_sink]
         sink_mult = np.zeros(m, dtype=np.int64)
         sink_mult[ends - (ends > sink)] = mult[at_sink]
         u, v, mult = u[~at_sink], v[~at_sink], mult[~at_sink]
         adjacency = _csr(m, u - (u > sink), v - (v > sink), mult)
-        reached = _bfs(adjacency, np.flatnonzero(sink_mult).tolist())
-        if len(reached) < m:
-            bad = min(set(range(m)).difference(reached))
-            raise PreconditionError(f"vertex {bad} cannot reach the sink")
+        degree = np.array(degree, dtype=np.int64)
+        block = _block_shape(*adjacency[:2], degree, sink_mult)
+        if block is None:  # a lattice block reaches the sink by construction
+            reached = _bfs(*adjacency[:2], np.flatnonzero(sink_mult).tolist())
+            if len(reached) < m:
+                bad = min(set(range(m)).difference(reached))
+                raise PreconditionError(f"vertex {bad} cannot reach the sink")
         coords = None
         if graph.coords:
             coords = {w - (w > sink): tuple(xy) for w, xy in graph.coords.items() if w != sink}
-        degree = np.array(degree, dtype=np.int64)
-        block = _block_shape(adjacency, degree, sink_mult)
         self._store(adjacency, degree, sink_mult, coords, block)
 
     def _store(self, adjacency, degree, sink_mult, coords, block=None):
-        """Keep the arrays, index the coordinates and cache what every
+        """Keep the arrays (``adjacency`` is the ``(indptr, indices, mult)``
+        of ``_csr``), index the coordinates and cache what every
         stabilization audit reads.
 
         ``block`` is ``(rows, cols)`` when the arrays are exactly those of
@@ -131,8 +151,8 @@ class SandpileGraph:
         2 on the rows x cols real cells, 63 on the pad column and the pad
         rows above and below, which stand for the sink and never fire).
         """
-        self.n_ordinary = self.sink = adjacency.shape[0]
-        self._adjacency = adjacency
+        self.n_ordinary = self.sink = len(degree)
+        self.indptr, self.indices, self.mult = adjacency
         self.degree = degree
         self.sink_mult = sink_mult
         self._boundary = np.flatnonzero(sink_mult)
@@ -165,21 +185,19 @@ class SandpileGraph:
         Derived from the arrays on each call; the sink edge of a vertex
         comes last in its row because the sink has the largest label.
         """
-        adj = self._adjacency
-        rows = np.repeat(np.arange(self.n_ordinary), np.diff(adj.indptr))
-        upper = adj.indices > rows
+        rows = np.repeat(np.arange(self.n_ordinary), np.diff(self.indptr))
+        upper = self.indices > rows
         boundary = self._boundary
         u = np.concatenate([rows[upper], boundary])
-        v = np.concatenate([adj.indices[upper], np.full(boundary.size, self.sink)])
-        mult = np.concatenate([adj.data[upper], self.sink_mult[boundary]])
+        v = np.concatenate([self.indices[upper], np.full(boundary.size, self.sink)])
+        mult = np.concatenate([self.mult[upper], self.sink_mult[boundary]])
         order = np.lexsort((v, u))
         return tuple(zip(u[order].tolist(), v[order].tolist(), mult[order].tolist()))
 
     def ordinary_neighbors(self, v):
         """``[(neighbor, multiplicity), ...]`` of ``v`` without the sink, by label."""
-        adj = self._adjacency
-        lo, hi = adj.indptr[v], adj.indptr[v + 1]
-        return list(zip(adj.indices[lo:hi].tolist(), adj.data[lo:hi].tolist()))
+        lo, hi = self.indptr[v], self.indptr[v + 1]
+        return list(zip(self.indices[lo:hi].tolist(), self.mult[lo:hi].tolist()))
 
     def is_ordinary(self, v) -> bool:
         return 0 <= v < self.n_ordinary
@@ -188,13 +206,39 @@ class SandpileGraph:
         if not self.is_ordinary(v):
             raise PreconditionError(f"{what} {v} is not an ordinary vertex")
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric ordinary-to-ordinary adjacency with multiplicities."""
-        return self._adjacency
+    def adjacency(self):
+        """Symmetric ordinary-to-ordinary adjacency with multiplicities, as
+        a scipy CSR matrix built from the arrays on each call."""
+        import scipy.sparse as sp
 
-    def laplacian(self) -> sp.csr_matrix:
-        """Sink-reduced Laplacian: diag(degree) minus ordinary adjacency."""
+        m = self.n_ordinary
+        return sp.csr_matrix((self.mult, self.indices, self.indptr), shape=(m, m))
+
+    def laplacian(self):
+        """Sink-reduced Laplacian: diag(degree) minus ordinary adjacency, as
+        a scipy CSR matrix built on each call."""
+        import scipy.sparse as sp
+
         return sp.diags(self.degree, format="csr", dtype=np.int64) - self.adjacency()
+
+    def _inflow(self, z):
+        """Each ordinary vertex's inflow ``sum(mult * z)`` over its ordinary
+        neighbors, for an int64 or object (Python int) vector ``z``, in its
+        dtype.
+
+        A lattice block adds the four shifted slices of ``z`` as a
+        zero-padded rows x cols array; any other graph sums each CSR row.
+        """
+        if self._lattice is not None:
+            rows, cols = self._lattice[:2]
+            pad = np.zeros((rows + 2, cols + 2), dtype=z.dtype)
+            pad[1:-1, 1:-1] = z.reshape(rows, cols)
+            return (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]).ravel()
+        starts = self.indptr[:-1]
+        # the appended 0 keeps every start, empty trailing rows included, in range
+        inflow = np.add.reduceat(np.append(self.mult * z[self.indices], 0), starts)
+        inflow[starts == self.indptr[1:]] = 0  # reduceat gives an empty row its start's term
+        return inflow
 
     def vertex_at(self, x, y):
         """Ordinary vertex id at coordinates (x, y); requires coords."""
@@ -212,7 +256,7 @@ class SandpileGraph:
         sources = list(sources)
         for s in sources:
             self.check_ordinary(s, "source")
-        reached = _bfs(self._adjacency, [int(s) for s in sources], cutoff)
+        reached = _bfs(self.indptr, self.indices, [int(s) for s in sources], cutoff)
         dist = np.full(self.n_ordinary, -1, dtype=np.int64)
         dist[list(reached)] = list(reached.values())
         return dist
@@ -241,7 +285,7 @@ class SandpileGraph:
         inside[np.asarray(ball, dtype=np.int64)] = 1
         inside = inside[:-1]  # the sink is never inside
         # each entry is at most a degree, so the product cannot wrap
-        return sum((self._adjacency @ inside)[inside > 0].tolist()) // 2
+        return sum(self._inflow(inside)[inside > 0].tolist()) // 2
 
 
 @dataclass(frozen=True)
@@ -328,7 +372,7 @@ def build_sandpile(ambient: Multigraph, subset) -> SandpileGraph:
     inner = np.array([(a, b) for a, b, _ in edges if b != sink], dtype=np.int64)
     inner = inner.reshape(-1, 2)
     links = _csr(m, inner[:, 0], inner[:, 1], np.ones(len(inner), dtype=np.int64))
-    if len(_bfs(links, [0])) != m:
+    if len(_bfs(*links[:2], [0])) != m:
         raise PreconditionError("subset not connected")
     if boundary == 0:
         raise PreconditionError("subset has no boundary edges")
@@ -379,7 +423,7 @@ def _block_arrays(rows: int, cols: int):
     return indptr, nbrs[inside], 4 - internal
 
 
-def _block_shape(adjacency, degree, sink_mult):
+def _block_shape(indptr, indices, degree, sink_mult):
     """``(rows, cols)`` when the arrays are exactly those of
     ``_block_sandpile(rows, cols)``, else None.
 
@@ -390,16 +434,16 @@ def _block_shape(adjacency, degree, sink_mult):
     m = len(degree)
     if (degree != 4).any():
         return None
-    first = adjacency.indices[adjacency.indptr[0]:adjacency.indptr[1]]
+    first = indices[indptr[0]:indptr[1]]
     cols = int(first[-1]) if len(first) == 2 else m
     if m % cols:
         return None
     rows = m // cols
-    indptr, indices, block_sink = _block_arrays(rows, cols)
+    block_indptr, block_indices, block_sink = _block_arrays(rows, cols)
     # with these and degree 4, every multiplicity is 1
     same = (
-        np.array_equal(adjacency.indptr, indptr)
-        and np.array_equal(adjacency.indices, indices)
+        np.array_equal(indptr, block_indptr)
+        and np.array_equal(indices, block_indices)
         and np.array_equal(sink_mult, block_sink)
     )
     return (rows, cols) if same else None
@@ -410,9 +454,7 @@ def _block_sandpile(rows: int, cols: int) -> SandpileGraph:
     from the arrays of ``_block_arrays``."""
     m = rows * cols
     indptr, indices, sink_mult = _block_arrays(rows, cols)
-    adjacency = sp.csr_matrix(
-        (np.ones(indptr[-1], dtype=np.int64), indices, indptr), shape=(m, m)
-    )
+    adjacency = (indptr, indices, np.ones(indptr[-1], dtype=np.int64))
     x, y = np.divmod(np.arange(m), cols)
     coords = dict(enumerate(zip(x.tolist(), y.tolist())))
     # built from arrays, not a Multigraph, and connected to the sink by construction
@@ -464,25 +506,30 @@ def gen_family(kind: str, *params: int) -> SandpileGraph:
     raise PreconditionError(f"unknown family {kind!r}")
 
 
-def _csr(m: int, u, v, mult) -> sp.csr_matrix:
-    """Symmetric m x m adjacency with sorted rows from undirected edge arrays."""
-    adjacency = sp.csr_matrix(
-        (np.concatenate([mult, mult]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(m, m),
-    )
-    adjacency.sort_indices()
-    return adjacency
+def _csr(m: int, u, v, mult):
+    """CSR arrays ``(indptr, indices, mult)`` of the symmetric m x m
+    adjacency of undirected int64 edge arrays: rows sorted by column,
+    parallel entries summed."""
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    key = rows * m + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[starts]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // m, minlength=m), out=indptr[1:])
+    return indptr, key % m, np.add.reduceat(np.concatenate([mult, mult])[order], starts)
 
 
-def _bfs(adjacency, sources, cutoff=None) -> dict:
-    """``{vertex: distance}`` of a breadth-first search over a CSR adjacency,
+def _bfs(indptr, indices, sources, cutoff=None) -> dict:
+    """``{vertex: distance}`` of a breadth-first search over CSR arrays,
     in discovery order, stopping at distance ``cutoff`` when one is given.
 
     Walks the index arrays through memoryviews: on the small balls most
     callers ask for, this costs a fraction of one scipy csgraph call or of
     a frontier-at-a-time numpy search.
     """
-    ptr, idx = memoryview(adjacency.indptr), memoryview(adjacency.indices)
+    ptr, idx = memoryview(indptr), memoryview(indices)
     dist = dict.fromkeys(sources, 0)
     queue = deque(dist)
     while queue:
@@ -555,7 +602,7 @@ def _coords_from_json(raw, n: int) -> dict:
                 f"malformed graph JSON: coords key {key!r} is not a vertex id"
             )
         pair = isinstance(xy, (list, tuple)) and len(xy) == 2
-        if not (pair and all(type(c) is int for c in xy)):
+        if not (pair and type(xy[0]) is type(xy[1]) is int):
             raise PreconditionError(
                 f"malformed graph JSON: coords of vertex {key} must be an "
                 f"integer pair, got {xy!r}"

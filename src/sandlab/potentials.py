@@ -24,6 +24,10 @@ sink-reduced Laplacian ``L x = b`` is solved one of three ways:
   adds about 11 MB of peak RSS), so CG stays until a factorization
   uses less.
 
+scipy is imported when the first solver record is built, not with this
+module: its import costs more than most engine answers, and importing
+``sandlab`` or answering without a potential loads none of it.
+
 Potentials certify particle thresholds two ways: closed-form lower and
 upper bounds on the single-site toppling threshold, and a feasible dual
 certificate bounding the uniform no-topple threshold on a ball.
@@ -35,8 +39,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InternalError, PreconditionError
 from .graph_core import SandpileGraph
@@ -146,6 +148,9 @@ class _Solver:
     or the lattice spectrum, and the field cache."""
 
     def __init__(self, g: SandpileGraph):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         self.lap = g.laplacian().astype(float)
         self.degree = np.asarray(g.degree, dtype=float)
         self.lu = None
@@ -177,6 +182,8 @@ def _laplacian_solve(rec: _Solver, rhs: np.ndarray) -> np.ndarray:
     if rec.spectrum is not None:
         spectrum = rec.spectrum
         return _dst2(_dst2(rhs.reshape(spectrum.shape)) / spectrum).ravel()
+    import scipy.sparse.linalg as spla
+
     m = len(rhs)
     precond = spla.LinearOperator((m, m), matvec=lambda x: x / rec.degree)
     x, info = spla.cg(rec.lap, rhs, rtol=1e-12, atol=1e-14, maxiter=20 * m, M=precond)

@@ -9,6 +9,28 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 
+def reference_multigraph_edges(vertex_count, edges):
+    """``Multigraph(vertex_count, edges).edges`` by a dict merge, edge by
+    edge in Python ints, or the message of the first edge it rejects."""
+    merged = {}
+    for u, v, mult in edges:
+        if u == v:
+            return f"self loop at vertex {u}"
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            return f"edge ({u},{v}) out of range"
+        if mult < 1:
+            return f"edge ({u},{v}) has multiplicity {mult}"
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0) + mult
+    return tuple(sorted((u, v, m) for (u, v), m in merged.items()))
+
+
+def reference_inflow(g, z):
+    """Each ordinary vertex's ``sum(mult * z)`` over its ordinary
+    neighbors, from the dense adjacency, in Python ints."""
+    return [sum(int(a) * int(x) for a, x in zip(row, z)) for row in g.adjacency().toarray()]
+
+
 def reference_sandpile(multigraph, sink):
     """A sandpile graph built the list-based way from a ``Multigraph``.
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sandlab
 from sandlab import build_sandpile, lattice_window, load_graph, save_graph, solve_potential
 from sandlab.cli import cli, main
 
@@ -315,6 +317,51 @@ def test_cli_artifacts_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in _GOLDEN}
     assert digests == _GOLDEN
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+tmp = sys.argv[2]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import sandlab, sandlab.cli
+seen = {"import": scipy_modules()}
+main = sandlab.cli.main
+grid = tmp + "/grid8.json"
+runs = {
+    "gen": ["gen", "grid", "--n", "8"],
+    "stabilize": ["stabilize", "--graph", grid, "--site", "2,2", "--count", "300"],
+    "flood": ["flood", "--graph", grid, "--site", "4,4", "--radius", "2"],
+    "epicenter": ["epicenter", "--graph", grid, "--source", "3,3", "--target", "7,7"],
+    "potentials": ["potentials", "--graph", grid, "--pole", "3,4"],
+}
+outputs = {"gen": grid, "potentials": tmp + "/potentials.csv"}
+for name, args in runs.items():
+    if main(args + ["-o", outputs.get(name, tmp + "/" + name + ".out")]) != 0:
+        sys.exit(name + " failed")
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_laplacian_solver_loads_scipy(tmp_path):
+    # importing sandlab and every engine-side command stays clear of scipy,
+    # whose import costs more than these answers; a potentials run loads it
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, src, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for step in ("import", "gen", "stabilize", "flood", "epicenter"):
+        assert seen[step] == [], step
+    assert "scipy.sparse.linalg" in seen["potentials"]
+    digest = hashlib.sha256((tmp_path / "potentials.csv").read_bytes()).hexdigest()
+    assert digest == _GOLDEN["potentials.csv"]
 
 
 # -- plumbing ---------------------------------------------------------------

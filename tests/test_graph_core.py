@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,10 @@ from sandlab import (
     save_graph,
     strip_sandpile,
 )
+from sandlab.graph_core import _csr
 
 import oracles
+from test_engine import _swapped_grid5, _window_interior
 
 
 # -- multigraph basics ------------------------------------------------------
@@ -42,6 +45,27 @@ def test_multigraph_rejects_self_loop():
 def test_multigraph_rejects_bad_multiplicity():
     with pytest.raises(PreconditionError, match="multiplicity"):
         Multigraph(2, [(0, 1, 0)])
+
+
+_ENDPOINTS = st.one_of(st.integers(0, 4), st.sampled_from([-1, 5, 2**63, -(2**64)]))
+_MULTS = st.one_of(st.integers(1, 3), st.sampled_from([0, -1, 2**62, 2**63, 2**70]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), edges=st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS, _MULTS), max_size=8))
+@example(n=2, edges=[(0, 1, 2**62), (1, 0, 2**62)])
+@example(n=3, edges=[(2, 0, 1), (1, 1, 0), (0, 3, 1)])
+@example(n=3, edges=[(0, 2**63, 1), (1, 2, 0)])
+def test_multigraph_matches_dict_merge(n, edges):
+    want = oracles.reference_multigraph_edges(n, edges)
+    if isinstance(want, str):
+        with pytest.raises(PreconditionError) as err:
+            Multigraph(n, edges)
+        assert str(err.value) == want
+    else:
+        got = Multigraph(n, edges).edges
+        assert got == want
+        assert all(type(x) is int for edge in got for x in edge)
 
 
 def test_sandpile_relabels_sink_last():
@@ -183,6 +207,74 @@ def test_sandpile_graph_matches_list_based_construction(case):
     _assert_same_graph(g, want)
     assert g.coords == want.coords
     assert json.dumps(graph_to_json(g), indent=2) == json.dumps(want.json, indent=2)
+
+
+@st.composite
+def _symmetric_entries(draw):
+    """m and an undirected edge list on 0..m-1 with repeated pairs in both
+    orientations; vertices no edge touches give empty rows."""
+    m = draw(st.integers(1, 7))
+    edges = []
+    for _ in range(draw(st.integers(0, 10)) if m > 1 else 0):
+        u = draw(st.integers(0, m - 1))
+        v = draw(st.integers(0, m - 2))
+        edges.append((u, v + (v >= u), draw(st.integers(1, 1 << 40))))
+    return m, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_symmetric_entries())
+@example(case=(1, []))
+@example(case=(4, [(1, 2, 2), (2, 1, 3), (1, 2, 1)]))
+def test_csr_arrays_match_scipy(case):
+    m, edges = case
+    u, v, mult = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    indptr, indices, summed = _csr(m, u, v, mult)
+    want = sp.csr_matrix(
+        (np.concatenate([mult, mult]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(m, m),
+    ).sorted_indices()
+    assert indptr.tolist() == want.indptr.tolist()
+    assert indices.tolist() == want.indices.tolist()
+    assert summed.dtype == np.int64 and summed.tolist() == want.data.tolist()
+
+
+def test_single_vertex_line_has_one_empty_row():
+    g = line_sandpile(1)
+    assert g.indptr.tolist() == [0, 0]
+    assert g.indices.size == g.mult.size == 0
+    assert g.mult.dtype == np.int64
+
+
+def _inflow_graphs():
+    """Lattice blocks, collapsed windows, swapped-label grids and a graph
+    whose first and last ordinary vertices reach only the sink."""
+    full = [(x, y) for x in range(1, 6) for y in range(1, 8)]
+    ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
+    edges = [(0, 4, 3), (1, 2, 2), (1, 4, 1), (2, 4, 1), (3, 4, 5)]
+    return [
+        grid_sandpile(5), line_sandpile(1), line_sandpile(7), strip_sandpile(3, 6),
+        graph_from_json(graph_to_json(grid_sandpile(6))), _window_interior(7, 9, full),
+        _window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2),
+        SandpileGraph(Multigraph(5, edges), 4),
+    ]
+
+
+def test_inflow_matches_adjacency_product():
+    rng = np.random.default_rng(5)
+    graphs = _inflow_graphs()
+    assert {g._lattice is None for g in graphs} == {True, False}
+    for g in graphs:
+        z = rng.integers(0, 1 << 40, g.n_ordinary)
+        got = g._inflow(z)
+        assert got.dtype == np.int64
+        assert got.tolist() == (g.adjacency() @ z).tolist()
+        big = np.array([(1 << 63) + int(x) for x in z], dtype=object)
+        got = g._inflow(big)
+        assert got.dtype == object
+        assert got.tolist() == oracles.reference_inflow(g, big)
+    star = graphs[-1]
+    assert star.indptr[:2].tolist() == [0, 0] and star.indptr[-2] == star.indptr[-1]
 
 
 def test_build_sandpile_rejects_disconnected_subset():
