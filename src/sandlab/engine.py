@@ -25,6 +25,14 @@ Every stabilization is closed out by an exact integer audit of
 plus conservation of particles into the sink.  A failed audit raises
 ``InternalError`` and is counted in ``engine_stats``.
 
+Every threshold answer in the package (``min_to_topple``,
+``min_to_topple_uniform``, ``flood_count``, ``tcl_single_site`` and the
+searches of ``estimators`` and ``epicenter``) is the least multiple x of a
+base placement such that, in the stabilization of x times it, every vertex
+of a target set has toppled, or has received a particle.  One search,
+``_least_multiple``, takes the target set and that goal, and refuses a
+target that no multiple can reach.
+
 Counts pass between the kernels, the audit and the threshold searches as
 ``_counts`` arrays: int64 while every entry is below 2**62, Python ints in
 an object array past that.  A ``StabilizationResult`` exposes Python lists,
@@ -111,8 +119,8 @@ class StabilizationResult:
     topplings_total: int
     received: list[int] = field(repr=False, default_factory=list)
     # stable, score and received as the ``_counts`` arrays they were made
-    # from, so that threshold searches compose results without converting
-    # the lists back
+    # from, so that threshold searches compose their states without
+    # converting the lists back
     _arrays: tuple = field(repr=False, compare=False, default=None)
 
     def flooded(self, vertices) -> bool:
@@ -351,10 +359,7 @@ def _stabilize_worklist(g, c0, policy, seed):
 
 
 def _audit(g, c0, stable, score):
-    """Close out a stabilization with the exact balance check, or raise.
-
-    The result's lists are made here, once, from the arrays.
-    """
+    """Close out a stabilization with the exact balance check, or raise."""
     stable, score = np.asarray(stable), np.asarray(score)
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
@@ -363,6 +368,11 @@ def _audit(g, c0, stable, score):
     if received is None:
         _STATS["identity_failures"] += 1
         raise InternalError("stabilization audit failed (Laplacian identity)")
+    return _result(stable, score, received, absorbed)
+
+
+def _result(stable, score, received, absorbed):
+    """A ``StabilizationResult`` of ``_counts`` arrays, its lists made once."""
     return StabilizationResult(
         stable=stable.tolist(),
         score=score.tolist(),
@@ -439,13 +449,21 @@ def _balanced(deg, c, s, z, inflow, absorbed):
 # monotone threshold searches
 
 
-def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
-    """Least x >= 1 whose stabilization of ``x * base`` satisfies ``done``.
+def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
+    """Least x >= 1 such that, in the stabilization of ``x * base``, every
+    vertex of ``targets`` has toppled (``goal="topple"``: score >= 1) or
+    received a particle (``goal="flood"``: received >= 1).
 
-    Returns ``(x, result)`` with the audited ``StabilizationResult`` of
-    that stabilization.  Doubles an upper bracket from ``start`` and then
-    bisects; the caller guarantees monotonicity (larger placements only
-    add topplings).
+    Returns ``(x, result)`` with the ``StabilizationResult`` of that
+    stabilization.  Doubles an upper bracket from ``start`` and then
+    bisects: larger placements only add topplings, so the goal is monotone.
+
+    As x grows, a target comes to topple or receive exactly when it lies in
+    a sink-deleted component that holds a site of ``supp(base)``: the
+    reduced Laplacian is block diagonal over those components, and its
+    inverse is positive on each block.  Any other target raises
+    ``PreconditionError`` before the first probe.  A lattice block is
+    connected, so it skips the check.
 
     Each probe pays only for the topplings past the last failing count
     ``lo``.  By the abelian property (Dhar 1990) and the least action
@@ -454,49 +472,51 @@ def _least_multiple(g: SandpileGraph, base, done, start: int = 1):
         stabilize(x * base) = stabilize(stable(lo) + (x - lo) * base)
 
     with toppling counts adding.  So a probe stabilizes, with the full
-    audit, only ``stable(lo) + (x - lo) * base`` and composes the result
-    for ``x * base``: ``score``, ``sink_absorbed`` and ``topplings_total``
-    add, and ``received`` is ``received(lo) - stable(lo)`` plus the step's
-    ``received``.  The result at ``lo = 0`` is the empty stabilization, so
-    the first probes stabilize ``x * base`` itself.
+    audit, only ``stable(lo) + (x - lo) * base`` and composes the state
+    for ``x * base``: ``score`` and ``sink_absorbed`` add, and ``received``
+    is ``received(lo) - stable(lo)`` plus the step's ``received``.  The
+    state at ``lo = 0`` is the empty stabilization, so the first probes
+    stabilize ``x * base`` itself.
     """
     base = _counts(base)
+    targets = np.asarray(targets, dtype=np.int64)
+    if g._lattice is None:
+        dist = g.ordinary_distances(np.flatnonzero(base))
+        unreached = targets[dist[targets] < 0]
+        if unreached.size:
+            raise PreconditionError(
+                f"target {unreached[0]} is unreachable from the placement without the sink"
+            )
+    watched = {"topple": 1, "flood": 2}[goal]  # score or received in a state
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
-    # stable, score, received, sink_absorbed, topplings_total at lo
-    at_lo = (zero, zero, zero, 0, 0)
+    at_lo = (zero, zero, zero, 0)  # stable, score, received, sink_absorbed at lo
 
     def probe(x):
-        stable_lo, score_lo, received_lo, absorbed_lo, topplings_lo = at_lo
+        stable_lo, score_lo, received_lo, absorbed_lo = at_lo
         step = stabilize(g, stable_lo + _times(base, x - lo))
         stable, score, received = step._arrays
-        score = _counts(score_lo + score)
-        received = _counts(_counts(received_lo - stable_lo) + received)
-        res = StabilizationResult(
-            stable=step.stable,
-            score=score.tolist(),
-            sink_absorbed=absorbed_lo + step.sink_absorbed,
-            topplings_total=topplings_lo + step.topplings_total,
-            received=received.tolist(),
-            _arrays=(stable, score, received),
+        state = (
+            stable,
+            _counts(score_lo + score),
+            _counts(_counts(received_lo - stable_lo) + received),
+            absorbed_lo + step.sink_absorbed,
         )
-        return res, (stable, score, received, res.sink_absorbed, res.topplings_total)
+        return state, state[watched][targets].min() > 0
 
     lo, hi = 0, max(1, int(start))
-    best, state = probe(hi)
-    while not done(best):
-        lo, hi, at_lo = hi, hi * 2, state
-        if hi > 1 << 200:
-            raise InternalError("threshold search diverged")
-        best, state = probe(hi)
-    # invariant: best is the result at hi and passes done; every answer is above lo
+    best, done = probe(hi)
+    while not done:
+        lo, hi, at_lo = hi, hi * 2, best
+        best, done = probe(hi)
+    # invariant: best is the state at hi and meets the goal; every answer is above lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        res, state = probe(mid)
-        if done(res):
-            hi, best = mid, res
+        state, done = probe(mid)
+        if done:
+            hi, best = mid, state
         else:
             lo, at_lo = mid, state
-    return hi, best
+    return hi, _result(*best)
 
 
 def _counts(values):
@@ -533,9 +553,7 @@ def min_to_topple(g: SandpileGraph, v: int, w: int) -> int:
     if w == g.sink:
         raise PreconditionError("the sink never topples")
     g.check_ordinary(w, "target")
-    x, _ = _least_multiple(
-        g, point_config(g, v, 1), lambda res: res.score[w] >= 1, int(g.degree[w])
-    )
+    x, _ = _least_multiple(g, point_config(g, v, 1), [w], "topple", int(g.degree[w]))
     return x
 
 
@@ -554,7 +572,8 @@ def min_to_topple_uniform(g: SandpileGraph, sites, w: int) -> UniformThreshold:
     h, _ = _least_multiple(
         g,
         uniform_config(g, sites, 1),
-        lambda res: res.score[w] >= 1,
+        [w],
+        "topple",
         int(g.degree[w]) if len(sites) == 1 else 1,
     )
     return UniformThreshold(h_topple=h, h_no_topple=h - 1)
@@ -571,9 +590,7 @@ def flood_count(g: SandpileGraph, v: int, targets) -> int:
         raise PreconditionError("target set is empty")
     for t in target_list:
         g.check_ordinary(t, "target")
-    x, _ = _least_multiple(
-        g, point_config(g, v, 1), lambda res: res.flooded(target_list)
-    )
+    x, _ = _least_multiple(g, point_config(g, v, 1), target_list, "flood")
     return x
 
 
@@ -731,6 +748,6 @@ def tcl_single_site(g: SandpileGraph, v: int) -> TclResult:
     """Least count at ``v`` whose stabilization topples every vertex."""
     g.check_ordinary(v, "site")
     value, _ = _least_multiple(
-        g, point_config(g, v, 1), lambda res: min(res.score) >= 1, int(g.degree[v])
+        g, point_config(g, v, 1), np.arange(g.n_ordinary), "topple", int(g.degree[v])
     )
     return TclResult(value=value, mode="single_site", witness=int(v))

@@ -345,7 +345,7 @@ def single_step(g, v, u, c_base, params: BoundParams):
     if not (2 * eta_u >= eta_v and 2 * eta_u <= 3 * eta_v):
         raise InternalError("radius ratio left its guaranteed window")
     ball_u = g.ordinary_ball(u, eta_u)
-    k, _ = _least_multiple(g, base, lambda r: r.flooded(ball_u))
+    k, _ = _least_multiple(g, base, ball_u, "flood")
     return k, bound
 
 
@@ -381,7 +381,7 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
         # the fourth vertex covers its whole sink-free ball
         idx = min(3, len(vertices) - 1)
         ball = g.ordinary_ball(vertices[idx], 3)
-    k0, res = _least_multiple(g, point_config(g, p, 1), lambda r: r.flooded(ball))
+    k0, res = _least_multiple(g, point_config(g, p, 1), ball, "flood")
     total = k0
     steps = []
     if res.flooded([q]):
@@ -403,9 +403,7 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
             u = vertices[idx]
             radius = eta[idx]
             targets = g.ordinary_ball(u, radius) if radius >= 1 else [u]
-            k, res = _least_multiple(
-                g, point_config(g, p, total), lambda r: r.flooded(targets)
-            )
+            k, res = _least_multiple(g, point_config(g, p, total), targets, "flood")
             total *= k
             steps.append(FloodStep(center=u, radius=radius, multiplier=k,
                                    segment=seg_idx))

@@ -377,13 +377,7 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
         outer = int(rng.integers(r, cap + 1))
         sources = g.ordinary_ball(v, r)
         targets = g.ordinary_ball(v, outer)
-
-        def all_topple(res):
-            return all(res.score[int(t)] >= 1 for t in targets)
-
-        fhat, _ = _least_multiple(
-            g, uniform_config(g, sources, 1), all_topple, dmax
-        )
+        fhat, _ = _least_multiple(g, uniform_config(g, sources, 1), targets, "topple", dmax)
         ratio = outer / r
         rows.append(SampleRow(family, n, i, v, r, outer, int(fhat)))
         key = round(ratio, 9)

@@ -7,9 +7,9 @@ solve is checked against a harmonicity residual of at most 1e-10.
 
 This module alone holds the Laplacian solver state: one record per graph,
 in a ``WeakKeyDictionary`` so that it dies with the graph, with the float
-Laplacian and degrees, what the solve path keeps across poles, and a field
-cache of at most ``_FIELD_CACHE_BYTES`` (oldest pole evicted first).  The
-sink-reduced Laplacian ``L x = b`` is solved one of three ways:
+degrees, what the solve path keeps across poles, and a field cache of at
+most ``_FIELD_CACHE_BYTES`` (oldest pole evicted first).  The sink-reduced
+Laplacian ``L x = b`` is solved one of three ways:
 
 - graphs of at most ``DIRECT_SOLVE_LIMIT`` ordinary vertices: a sparse LU
   factor (COLAMD order), built once and reused for every pole;
@@ -24,9 +24,12 @@ sink-reduced Laplacian ``L x = b`` is solved one of three ways:
   adds about 11 MB of peak RSS), so CG stays until a factorization
   uses less.
 
-scipy is imported when the first solver record is built, not with this
-module: its import costs more than most engine answers, and importing
-``sandlab`` or answering without a potential loads none of it.
+scipy is imported only by the LU and CG paths, when their solver record
+is built, not with this module: its import costs more than most engine
+answers, so importing ``sandlab``, answering without a potential or solving
+on a lattice block above the limit loads none of it.  The harmonicity
+residual and the dual certificate multiply by the adjacency through
+``SandpileGraph._inflow``.
 
 Potentials certify particle thresholds two ways: closed-form lower and
 upper bounds on the single-site toppling threshold, and a feasible dual
@@ -144,24 +147,25 @@ def _dst2(a):
 
 
 class _Solver:
-    """One graph's solver state: float Laplacian and degrees, the LU factor
-    or the lattice spectrum, and the field cache."""
+    """One graph's solver state: float degrees, the LU factor, the lattice
+    spectrum or the float Laplacian that CG multiplies by, and the field
+    cache."""
 
     def __init__(self, g: SandpileGraph):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        self.lap = g.laplacian().astype(float)
         self.degree = np.asarray(g.degree, dtype=float)
-        self.lu = None
-        self.spectrum = None
+        self.lu = self.spectrum = self.lap = None
         if g.n_ordinary <= DIRECT_SOLVE_LIMIT:
-            self.lu = spla.splu(sp.csc_matrix(self.lap))
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
+            self.lu = spla.splu(sp.csc_matrix(g.laplacian().astype(float)))
         elif g._lattice is not None:
             rows, cols = g._lattice[:2]
             self.spectrum = (
                 _dirichlet_eigenvalues(rows)[:, None] + _dirichlet_eigenvalues(cols)
             )
+        else:
+            self.lap = g.laplacian().astype(float)
         self.fields: dict[int, PotentialField] = {}
 
 
@@ -192,9 +196,9 @@ def _laplacian_solve(rec: _Solver, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _harmonic_residual(rec: _Solver, values, skip):
+def _harmonic_residual(g: SandpileGraph, rec: _Solver, values, skip):
     """Worst degree-relative harmonicity defect, ignoring vertices in skip."""
-    rel = np.abs(rec.lap @ values) / rec.degree
+    rel = np.abs(rec.degree * values - g._inflow(values)) / rec.degree
     for v in skip:
         rel[v] = 0.0
     return float(rel.max()) if len(rel) else 0.0
@@ -212,7 +216,7 @@ def solve_potential(g: SandpileGraph, w: int) -> PotentialField:
     if not np.isfinite(scale) or scale <= 0:
         raise InternalError("potential solve produced a nonpositive pole value")
     values = x / scale
-    residual = _harmonic_residual(rec, values, skip=[w])
+    residual = _harmonic_residual(g, rec, values, skip=[w])
     if residual > RESIDUAL_TOLERANCE:
         raise InternalError(f"harmonicity residual {residual:.3e} too large")
     fld = PotentialField(pole=int(w), values=values, residual=residual)
@@ -319,11 +323,10 @@ def dual_threshold_bound(g: SandpileGraph, v: int, r: int, w: int):
     mass = float(pi[ball].sum())
     y = pi / mass
     deg = _solver(g).degree
-    adj = g.adjacency().astype(float)
-    injected = float(deg[w] - (adj @ pi)[w])
+    injected = float(deg[w] - g._inflow(pi)[w])
     y_prime = injected / mass
     # feasibility: (A y)(u) - deg(u) y(u) >= 0 off the pole, plus y_prime at it
-    slack = adj @ y - deg * y
+    slack = g._inflow(y) - deg * y
     slack[w] += y_prime
     violations = [
         float(-slack.min()) if len(slack) else 0.0,

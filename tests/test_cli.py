@@ -331,14 +331,17 @@ import sandlab, sandlab.cli
 seen = {"import": scipy_modules()}
 main = sandlab.cli.main
 grid = tmp + "/grid8.json"
+big = tmp + "/grid72.json"
 runs = {
     "gen": ["gen", "grid", "--n", "8"],
     "stabilize": ["stabilize", "--graph", grid, "--site", "2,2", "--count", "300"],
     "flood": ["flood", "--graph", grid, "--site", "4,4", "--radius", "2"],
     "epicenter": ["epicenter", "--graph", grid, "--source", "3,3", "--target", "7,7"],
+    "gen72": ["gen", "grid", "--n", "72"],
+    "sine": ["potentials", "--graph", big, "--pole", "36,36"],
     "potentials": ["potentials", "--graph", grid, "--pole", "3,4"],
 }
-outputs = {"gen": grid, "potentials": tmp + "/potentials.csv"}
+outputs = {"gen": grid, "gen72": big, "potentials": tmp + "/potentials.csv"}
 for name, args in runs.items():
     if main(args + ["-o", outputs.get(name, tmp + "/" + name + ".out")]) != 0:
         sys.exit(name + " failed")
@@ -348,8 +351,9 @@ print(json.dumps(seen))
 
 
 def test_only_the_laplacian_solver_loads_scipy(tmp_path):
-    # importing sandlab and every engine-side command stays clear of scipy,
-    # whose import costs more than these answers; a potentials run loads it
+    # importing sandlab, every engine-side command and a sine-transform solve
+    # (grid 72 is above the LU limit) stay clear of scipy, whose import costs
+    # more than these answers; an LU potentials run loads it
     src = os.path.dirname(os.path.dirname(sandlab.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, src, str(tmp_path)],
@@ -357,7 +361,7 @@ def test_only_the_laplacian_solver_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    for step in ("import", "gen", "stabilize", "flood", "epicenter"):
+    for step in ("import", "gen", "stabilize", "flood", "epicenter", "gen72", "sine"):
         assert seen[step] == [], step
     assert "scipy.sparse.linalg" in seen["potentials"]
     digest = hashlib.sha256((tmp_path / "potentials.csv").read_bytes()).hexdigest()
@@ -410,6 +414,15 @@ def test_malformed_site(grid2_path):
                  "--site", "x,y"]) == 2
     assert main(["tcl", "single-site", "--graph", grid2_path,
                  "--site", "9,9"]) == 2
+
+
+def test_tcl_single_site_refuses_an_unreachable_vertex(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"n_vertices": 3, "sink": 2,
+                                "edges": [[0, 2, 1], [1, 2, 1]]}))
+    assert main(["tcl", "single-site", "--graph", str(path), "--site", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "target 1 is unreachable" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("coords, named", [

@@ -275,32 +275,27 @@ def test_min_to_topple_brute_agreement():
             assert min_to_topple(g, v, w) == oracles.brute_min_to_topple(g, v, w)
 
 
-def _topples(w):
-    return lambda res: res.score[w] >= 1
+def _goal(targets, goal):
+    """The predicate of a target set and a goal, for the reference searches."""
+    key = {"topple": "score", "flood": "received"}[goal]
+    return lambda res: all(getattr(res, key)[t] >= 1 for t in targets)
 
 
-def _floods(targets):
-    return lambda res: all(res.received[t] > 0 for t in targets)
-
-
-def _all_topple(res):
-    return min(res.score) >= 1
-
-
-@pytest.mark.parametrize("family, n, placement, done, start", [
-    ("grid", 2, {3: 1}, _topples(0), 4),
-    ("grid", 3, {4: 1}, _floods(range(9)), 1),
-    ("grid", 3, {0: 1, 1: 1, 3: 1}, _all_topple, 1),
-    ("grid", 4, {5: 2, 10: 1}, _topples(15), 4),
-    ("grid", 4, {0: 3}, _floods([5, 15]), 1),
-    ("line", 4, {0: 1}, _all_topple, 3),
-    ("line", 5, {1: 1, 2: 1}, _floods([4]), 1),
-    ("line", 5, {2: 2}, _topples(0), 64),
+@pytest.mark.parametrize("family, n, placement, targets, goal, start", [
+    ("grid", 2, {3: 1}, [0], "topple", 4),
+    ("grid", 3, {4: 1}, range(9), "flood", 1),
+    ("grid", 3, {0: 1, 1: 1, 3: 1}, range(9), "topple", 1),
+    ("grid", 4, {5: 2, 10: 1}, [15], "topple", 4),
+    ("grid", 4, {0: 3}, [5, 15], "flood", 1),
+    ("line", 4, {0: 1}, range(4), "topple", 3),
+    ("line", 5, {1: 1, 2: 1}, [4], "flood", 1),
+    ("line", 5, {2: 2}, [0], "topple", 64),
 ])
-def test_least_multiple_returns_its_stabilization(family, n, placement, done, start):
+def test_least_multiple_returns_its_stabilization(family, n, placement, targets, goal, start):
     g = grid_sandpile(n) if family == "grid" else line_sandpile(n)
     base = [placement.get(v, 0) for v in range(g.n_ordinary)]
-    x, res = engine_mod._least_multiple(g, base, done, start)
+    done = _goal(targets, goal)
+    x, res = engine_mod._least_multiple(g, base, targets, goal, start)
     fresh = stabilize(g, [x * c for c in base])
     assert res.stable == fresh.stable
     assert res.score == fresh.score
@@ -335,18 +330,18 @@ def _heavy_pair():
     return SandpileGraph(Multigraph(3, [(0, 1, 1), (0, 2, heavy), (1, 2, heavy)]), 2)
 
 
-@pytest.mark.parametrize("make, placement, done, start", [
-    (lambda: line_sandpile(40), {0: 1}, _all_topple, 4),
-    (lambda: line_sandpile(60), {10: 1}, _all_topple, 4),
-    (lambda: line_sandpile(50), {0: 1, 3: 2}, _floods([49]), 1),
-    (_heavy_pair, {0: 1}, _topples(1), 1),
+@pytest.mark.parametrize("make, placement, targets, goal, start", [
+    (lambda: line_sandpile(40), {0: 1}, range(40), "topple", 4),
+    (lambda: line_sandpile(60), {10: 1}, range(60), "topple", 4),
+    (lambda: line_sandpile(50), {0: 1, 3: 2}, [49], "flood", 1),
+    (_heavy_pair, {0: 1}, [1], "topple", 1),
 ], ids=["line40-end", "line60-interior", "line50-flood", "heavy-pair"])
-def test_least_multiple_past_int64_matches_a_from_scratch_search(make, placement, done,
-                                                                  start):
+def test_least_multiple_past_int64_matches_a_from_scratch_search(make, placement, targets,
+                                                                  goal, start):
     g = make()
     base = [placement.get(v, 0) for v in range(g.n_ordinary)]
-    x, res = engine_mod._least_multiple(g, base, done, start)
-    want_x, want = _scratch_least_multiple(g, base, done, start)
+    x, res = engine_mod._least_multiple(g, base, targets, goal, start)
+    want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal), start)
     assert x == want_x
     assert res == want
     # the search ran through counts that int64 cannot hold
@@ -357,25 +352,48 @@ def test_least_multiple_past_int64_matches_a_from_scratch_search(make, placement
 def test_tcl_single_site_on_long_lines_matches_a_from_scratch_search():
     for n in (34, 40):
         g = line_sandpile(n)
-        want, _ = _scratch_least_multiple(g, point_config(g, 0, 1), _all_topple, 4)
+        want, _ = _scratch_least_multiple(
+            g, point_config(g, 0, 1), _goal(range(n), "topple"), 4
+        )
         assert tcl_single_site(g, 0).value == want
 
 
-@pytest.mark.parametrize("search", ["point", "uniform", "flood"])
+def test_tcl_single_site_past_2_to_the_200_certifies():
+    g = line_sandpile(120)
+    x = tcl_single_site(g, 0).value
+    assert x.bit_length() > 200
+    assert min(stabilize(g, point_config(g, 0, x)).score) >= 1
+    assert min(stabilize(g, point_config(g, 0, x - 1)).score) == 0
+
+
+def test_threshold_searches_refuse_unreachable_targets():
+    # two ordinary vertices, each joined only to the sink
+    g = graph_from_json({"n_vertices": 3, "sink": 2, "edges": [[0, 2, 1], [1, 2, 1]]})
+    for search in (lambda: min_to_topple(g, 0, 1), lambda: flood_count(g, 0, [1]),
+                   lambda: tcl_single_site(g, 0)):
+        with pytest.raises(PreconditionError, match="target 1 is unreachable"):
+            search()
+
+
+@pytest.mark.parametrize("search", ["point", "uniform", "flood", "tcl"])
 def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search):
     g = grid_sandpile(9)
     v, w = g.vertex_at(2, 2), g.vertex_at(5, 4)
     if search == "point":
-        base, done, start = point_config(g, v, 1), _topples(w), int(g.degree[w])
+        base, done, start = point_config(g, v, 1), _goal([w], "topple"), int(g.degree[w])
         run = lambda: min_to_topple(g, v, w)  # noqa: E731
     elif search == "uniform":
         sites = g.ordinary_ball(v, 1)
-        base, done, start = uniform_config(g, sites, 1), _topples(w), 1
+        base, done, start = uniform_config(g, sites, 1), _goal([w], "topple"), 1
         run = lambda: min_to_topple_uniform(g, sites, w).h_topple  # noqa: E731
-    else:
+    elif search == "flood":
         ball = g.ordinary_ball(v, 2)
-        base, done, start = point_config(g, v, 1), _floods(ball), 1
+        base, done, start = point_config(g, v, 1), _goal(ball, "flood"), 1
         run = lambda: flood_count(g, v, ball)  # noqa: E731
+    else:
+        every = range(g.n_ordinary)
+        base, done, start = point_config(g, v, 1), _goal(every, "topple"), int(g.degree[v])
+        run = lambda: tcl_single_site(g, v).value  # noqa: E731
     calls = []
     real = engine_mod.stabilize
 
