@@ -285,14 +285,15 @@ def verify(graph_path, site, count, seed):
             raise PreconditionError("--site needs --count")
         config = engine.point_config(g, _parse_site(g, site), count)
     else:
+        if seed < 0:
+            raise PreconditionError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         # uint64: twice a degree near 2**63 wraps in int64
         high = 2 * g.degree.astype(np.uint64)
         config = [int(x) for x in rng.integers(0, high, dtype=np.uint64)]
     res = engine.stabilize(g, config)
-    ok = engine._balance_check(
-        g, config, res.stable, res.score, res.sink_absorbed
-    ) is not None
+    checked = engine._balance_check(g, config, res.stable, res.score)
+    ok = checked is not None and checked[1] == res.sink_absorbed
     click.echo(f"identity+conservation: {'PASS' if ok else 'FAIL'}")
     if not ok:
         raise PreconditionError("balance recheck failed")

@@ -18,12 +18,15 @@ vertex's inflow over the graph's CSR arrays (``SandpileGraph._inflow``).
 Both hand a run that could outgrow int64 to the exact fifo worklist.
 ``engine_stats`` counts stabilizations by the kernel that produced them.
 
-Every stabilization is closed out by an exact integer audit of
+Every stabilization is closed out by one exact integer audit,
+``_balance_check``, of
 
     final = initial - L^T * score      (L the sink-reduced Laplacian)
 
-plus conservation of particles into the sink.  A failed audit raises
-``InternalError`` and is counted in ``engine_stats``.
+with stability, nonnegativity and conservation of particles into the sink.
+It runs every check in int64 when a bound on the inputs rules out
+overflow, else in Python ints.  A failed audit raises ``InternalError``
+and is counted in ``engine_stats``; ``sandlab verify`` reruns it.
 
 Every threshold answer in the package (``min_to_topple``,
 ``min_to_topple_uniform``, ``flood_count``, ``tcl_single_site`` and the
@@ -33,6 +36,10 @@ of a target set has toppled, or has received a particle.  One search,
 ``_least_multiple``, takes the target set and that goal, and refuses a
 target that no multiple can reach.
 
+``tcl_exact`` measures the transience class on small graphs: it collects
+the transient stable states reachable from empty and takes the longest
+addition chain over them in topological order.
+
 Counts pass between the kernels, the audit and the threshold searches as
 ``_counts`` arrays: int64 while every entry is below 2**62, Python ints in
 an object array past that.  A ``StabilizationResult`` exposes Python lists,
@@ -41,8 +48,10 @@ made once when it is built.
 
 from __future__ import annotations
 
+import functools
+import graphlib
 import itertools
-import operator
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -229,8 +238,10 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
         raise PreconditionError(f"unknown policy {policy!r}")
     out = None
     if policy == "batch" and _total(c0) < _INT64_SAFE_TOTAL:
-        path = "sparse_batch" if g._lattice is None else "lattice_stencil"
-        out = _stabilize_batch_int64(g, c0)
+        if g._lattice is None:
+            path, out = "sparse_batch", _stabilize_sparse(g, c0)
+        else:
+            path, out = "lattice_stencil", _stabilize_lattice(g, c0)
     if out is None:
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
@@ -238,13 +249,12 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     return _audit(g, c0, *out)
 
 
-def _stabilize_batch_int64(g, c0):
-    """Batch rounds in int64: every unstable vertex fires its full quota
-    ``c // degree`` each round.  Returns ``(stable, score)``, or None once
-    a toppling count passes ``_INT64_SAFE_TOTAL``, so that the caller can
-    rerun in exact integers rather than risk 64-bit overflow."""
-    if g._lattice is not None:
-        return _stabilize_lattice(g, c0)
+def _stabilize_sparse(g, c0):
+    """Batch rounds in int64 over the CSR arrays: every unstable vertex
+    fires its full quota ``c // degree`` each round.  Returns ``(stable,
+    score)``, or None once a toppling count passes ``_INT64_SAFE_TOTAL``,
+    so that the caller can rerun in exact integers rather than risk 64-bit
+    overflow."""
     deg = g.degree
     c = np.array(c0, dtype=np.int64)
     z = np.zeros(g.n_ordinary, dtype=np.int64)
@@ -264,7 +274,7 @@ def _stabilize_batch_int64(g, c0):
 
 
 def _stabilize_lattice(g, c0):
-    """``_stabilize_batch_int64`` on a lattice block, by a shift stencil.
+    """``_stabilize_sparse`` on a lattice block, by a shift stencil.
 
     The counts live in a flat, padded row-major array: row x of the block
     at ``(x + 1) * W + y`` with ``W = cols + 1``, so that the pad column
@@ -344,9 +354,9 @@ def _stabilize_worklist(g, c0, policy, seed):
             i = rng.randrange(len(work))
             work[i], work[-1] = work[-1], work[i]
             v = work.pop()
+        # queued only while c[v] >= deg[v]; until popped, only other
+        # vertices' firings change c[v], always upward
         queued[v] = False
-        if c[v] < deg[v]:
-            continue
         k = c[v] // deg[v]
         z[v] += k
         c[v] -= k * deg[v]
@@ -363,12 +373,11 @@ def _audit(g, c0, stable, score):
     stable, score = np.asarray(stable), np.asarray(score)
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
-    absorbed = sum(map(operator.mul, g._boundary_mult, score[g._boundary].tolist()))
-    received = _balance_check(g, c0, stable, score, absorbed)
-    if received is None:
+    checked = _balance_check(g, c0, stable, score)
+    if checked is None:
         _STATS["identity_failures"] += 1
         raise InternalError("stabilization audit failed (Laplacian identity)")
-    return _result(stable, score, received, absorbed)
+    return _result(stable, score, *checked)
 
 
 def _result(stable, score, received, absorbed):
@@ -383,66 +392,51 @@ def _result(stable, score, received, absorbed):
     )
 
 
-def _balance_check(g, c0, stable, score, absorbed):
+def _balance_check(g, c0, stable, score):
     """Exact integer check of final = initial - L^T score and conservation.
 
     Holds when ``stable`` is a stable, nonnegative outcome of ``c0`` under
-    nonnegative toppling counts ``score`` and exactly ``absorbed``
-    particles reach the sink.  Returns the per-vertex received counts
-    (initial placement plus inflow) as a ``_counts`` array when it holds,
-    else None.  The three vectors may be sequences or arrays.
+    nonnegative toppling counts ``score``, and the particles lost, ``sum(c0
+    - stable)``, are those sent to the sink, ``sum(sink_mult * score)``.
+    Returns ``(received, absorbed)`` when it holds, else None: the
+    per-vertex received counts (initial placement plus inflow) as a
+    ``_counts`` array, and the particles absorbed by the sink as an int.
+    The three vectors may be sequences or arrays.
 
-    The check takes each vertex's inflow (``g._inflow``) in int64 when the
-    inputs prove that nothing can overflow: with m ordinary vertices, every
-    per-vertex term and every sum it forms is bounded in magnitude by
+    Every check runs in one dtype, int64 when the inputs prove that nothing
+    can overflow: with m ordinary vertices, every per-vertex term and every
+    sum it forms is bounded in magnitude by
 
         max(score) * 2 * max(degree) + m * max|c0|  <  2**62
 
     A score with a negative entry is rejected whatever wraps, so only its
-    largest entry counts.  Conservation sums ``c0 - stable`` once: int64
-    addition is exact modulo 2**64, and the true sum, the particles that
-    reached the sink, lies in [0, sum(c0)] once the identity and the
-    ranges hold.
-    Inputs past the bound, such as the line family's counts, take the
-    exact Python-int arithmetic of ``_balance_check_exact``.  Both paths
-    accept and reject the same inputs and return equal counts.
+    largest entry counts.  ``sum(sink_mult * score)`` may wrap, but int64
+    addition is exact modulo 2**64, and once the identity and the ranges
+    hold it equals ``sum(c0 - stable)``, the particles that reached the
+    sink, which lies in [0, sum(c0)].  Inputs past the bound, such as the
+    line family's counts, run on object arrays of Python ints.
     """
     c, s, z = (x if isinstance(x, np.ndarray) else _counts(x) for x in (c0, stable, score))
     m = g.n_ordinary
     if not len(c) == len(s) == len(z) == m:
         return None
+    deg, mult = g.degree, g.sink_mult
     if object in (c.dtype, s.dtype, z.dtype) or (
-        int(z.max()) * 2 * g._max_degree + m * _magnitude(c) >= _INT64_HEADROOM
+        int(z.max()) * 2 * g._max_degree + m * max(int(c.max()), -int(c.min()))
+        >= _INT64_HEADROOM
     ):
-        return _balance_check_exact(g, c, s, z, absorbed)
-    return _balanced(g.degree, c, s, z, g._inflow(z), absorbed)
-
-
-def _magnitude(a) -> int:
-    """Largest absolute entry of an int64 array, as a Python int."""
-    return max(int(a.max()), -int(a.min()))
-
-
-def _balance_check_exact(g, c0, stable, score, absorbed):
-    """``_balance_check`` in Python integers (object arrays), for inputs of
-    any size."""
-    c, s, z = (np.array([int(x) for x in a], dtype=object) for a in (c0, stable, score))
-    return _balanced(g.degree.astype(object), c, s, z, g._inflow(z), absorbed)
-
-
-def _balanced(deg, c, s, z, inflow, absorbed):
-    """The checks of ``_balance_check`` on arrays of one dtype."""
-    received = c + inflow
+        c, s, z, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
+    received = c + g._inflow(z)
+    absorbed = int((mult * z).sum())
     if (
         np.count_nonzero(s != received - deg * z)
         or s.min() < 0
         or (deg - s).min() <= 0
         or z.min() < 0
+        or int((c - s).sum()) != absorbed
     ):
         return None
-    if int((c - s).sum()) != absorbed:  # sum(c) = sum(s) + absorbed
-        return None
-    return received
+    return received, absorbed
 
 
 # ---------------------------------------------------------------------------
@@ -612,20 +606,16 @@ def is_recurrent(g: SandpileGraph, counts) -> bool:
     return all(s == 1 for s in res.score) and np.array_equal(res.stable, c)
 
 
-def _stable_state_count(g: SandpileGraph) -> int:
-    total = 1
-    for d in g.degree:
-        total *= int(d)
-    return total
+def _check_state_space(g: SandpileGraph, state_limit: int) -> None:
+    """Refuse a graph with more stable states than ``state_limit``."""
+    total = math.prod(g.degree.tolist())
+    if total > state_limit:
+        raise ResourceLimitError(f"state space {total} exceeds limit {state_limit}")
 
 
 def recurrent_count(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> int:
     """Number of recurrent stable states, by exhaustive burning tests."""
-    total = _stable_state_count(g)
-    if total > state_limit:
-        raise ResourceLimitError(
-            f"state space {total} exceeds limit {state_limit}"
-        )
+    _check_state_space(g, state_limit)
     count = 0
     ranges = [range(int(d)) for d in g.degree]
     for state in itertools.product(*ranges):
@@ -639,25 +629,20 @@ def spanning_tree_count(g: SandpileGraph) -> int:
 
     By the matrix-tree theorem this counts spanning trees of the full
     multigraph and must equal the number of recurrent stable states.
+    Each pivot is a leading principal minor of the reduced Laplacian, which
+    is positive because every vertex reaches the sink, so no row swaps.
     """
     m = g.n_ordinary
     a = np.diag(g.degree)
     a[np.repeat(np.arange(m), np.diff(g.indptr)), g.indices] = -g.mult
     a = a.tolist()
-    sign = 1
     prev = 1
     for k in range(m - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
         for i in range(k + 1, m):
             for j in range(k + 1, m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[m - 1][m - 1]
+    return a[m - 1][m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -670,78 +655,60 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
     Explores the stable-state transition graph (add one particle anywhere,
     stabilize).  Additions whose result is recurrent are not counted; the
     value is the largest number of additions that keeps every intermediate
-    stable configuration transient.  A cycle among transient states would
-    contradict finiteness and raises ``InternalError``.
+    stable configuration transient.  The transient states reachable from
+    empty are taken in topological order, successors first, and each gets
+    its longest chain; ties go to the lowest site.  A cycle among transient
+    states would contradict finiteness and raises ``InternalError``.
     """
-    total = _stable_state_count(g)
-    if total > state_limit:
-        raise ResourceLimitError(
-            f"state space {total} exceeds limit {state_limit}"
-        )
+    _check_state_space(g, state_limit)
     m = g.n_ordinary
-    empty = tuple([0] * m)
+    empty = (0,) * m
 
-    recurrent_memo: dict[tuple, bool] = {}
-
+    @functools.cache
     def recurrent(state):
-        res = recurrent_memo.get(state)
-        if res is None:
-            res = is_recurrent(g, list(state))
-            recurrent_memo[state] = res
-        return res
+        return is_recurrent(g, list(state))
 
     if recurrent(empty):
         return TclResult(value=0, mode="exact", witness=[])
 
-    successors: dict[tuple, list[tuple]] = {}
+    # transient state -> its stabilized successor per site, None where recurrent
+    successors: dict[tuple, list] = {}
+    todo = [empty]
+    while todo:
+        state = todo.pop()
+        if state in successors:
+            continue
+        nxt = []
+        for site in range(m):
+            c = list(state)
+            c[site] += 1
+            after = tuple(stabilize(g, c).stable)
+            nxt.append(None if recurrent(after) else after)
+        successors[state] = nxt
+        todo += [t for t in nxt if t is not None and t not in successors]
 
-    def step(state, site):
-        c = list(state)
-        c[site] += 1
-        return tuple(stabilize(g, c).stable)
+    sorter = graphlib.TopologicalSorter(
+        {state: [t for t in nxt if t is not None] for state, nxt in successors.items()}
+    )
+    try:
+        order = list(sorter.static_order())
+    except graphlib.CycleError:
+        raise InternalError("cycle among transient states") from None
+    best: dict[tuple, tuple[int, int]] = {}  # state -> (length, first site or -1)
+    for state in order:
+        length, pick = 0, -1
+        for site, t in enumerate(successors[state]):
+            if t is not None and best[t][0] + 1 > length:
+                length, pick = best[t][0] + 1, site
+        best[state] = (length, pick)
 
-    # iterative depth-first longest path over transient states
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[tuple, int] = {}
-    best: dict[tuple, tuple[int, int]] = {}  # state -> (length, best site or -1)
-    stack = [(empty, 0)]
-    color[empty] = GRAY
-    while stack:
-        state, idx = stack[-1]
-        if idx == 0 and state not in successors:
-            successors[state] = [step(state, site) for site in range(m)]
-        succ = successors[state]
-        if idx < m:
-            stack[-1] = (state, idx + 1)
-            nxt = succ[idx]
-            if recurrent(nxt):
-                continue
-            st = color.get(nxt, WHITE)
-            if st == GRAY:
-                raise InternalError("cycle among transient states")
-            if st == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            color[state] = BLACK
-            length, site_pick = 0, -1
-            for site, nxt in enumerate(succ):
-                if recurrent(nxt):
-                    continue
-                cand = 1 + best[nxt][0]
-                if cand > length:
-                    length, site_pick = cand, site
-            best[state] = (length, site_pick)
-
-    value = best[empty][0]
     witness = []
     state = empty
     while best[state][1] >= 0:
         site = best[state][1]
         witness.append(site)
         state = successors[state][site]
-    return TclResult(value=value, mode="exact", witness=witness)
+    return TclResult(value=best[empty][0], mode="exact", witness=witness)
 
 
 def tcl_single_site(g: SandpileGraph, v: int) -> TclResult:

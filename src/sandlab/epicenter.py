@@ -181,9 +181,6 @@ def _staircase(p, q):
             path.append((x, y))
         x = x_next
         path.append((x, y))
-    while y != q[1]:
-        y += 1 if q[1] > y else -1
-        path.append((x, y))
     return path
 
 
@@ -235,15 +232,11 @@ def find_central_path_grid(g, p, q) -> CentralPath:
 def classify_path(g, path, l=0.0, breaks=None) -> CentralPath:
     """Fit eta along the path and label each linear segment with its phase.
 
-    Accepts a vertex sequence or an existing CentralPath.  Segments whose
-    residuals exceed one unit are split at interior eta extremes and
-    refit; flat segments longer than ``l * log(graph size)`` disqualify
-    the path.
+    Segments whose residuals exceed one unit are split at interior eta
+    extremes and refit; flat segments longer than ``l * log(graph size)``
+    disqualify the path.
     """
-    if isinstance(path, CentralPath):
-        vertices = list(path.vertices)
-    else:
-        vertices = [int(v) for v in path]
+    vertices = [int(v) for v in path]
     for v in vertices:
         g.check_ordinary(v, "path vertex")
     for a, b in zip(vertices, vertices[1:]):

@@ -206,7 +206,7 @@ def estimate_alpha(family, sizes, samples, seed) -> EstimateReport:
     Pools log(vol) on log(r) across sizes by least squares; the bracketing
     constants are the min and max of vol / r^alpha over the same samples.
     """
-    _check_args(sizes, samples)
+    _check_args(sizes, samples, seed)
     rows = []
     for n, i, g, _, v, r, _ in _draws("alpha", family, sizes, samples, seed):
         vol = g.ball_volume(g.ordinary_ball(v, r))
@@ -238,7 +238,7 @@ def estimate_hlc(family, sizes, samples, seed) -> EstimateReport:
     report flags the family when the per-size worst ratio climbs strictly
     with size and more than doubles overall.
     """
-    _check_args(sizes, samples)
+    _check_args(sizes, samples, seed)
     rows = []
     for n, i, g, _, v, r, _ in _draws("hlc", family, sizes, samples, seed):
         ball = g.ordinary_ball(v, r)
@@ -267,7 +267,7 @@ def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
     times ball volume.  Samples whose ball leaves no room for a pole are
     excluded and counted.
     """
-    _check_args(sizes, samples)
+    _check_args(sizes, samples, seed)
     rows = []
     excluded = 0
     radius1_err = 0.0
@@ -308,7 +308,7 @@ def estimate_ls(family, sizes, samples, seed, mv_report=None) -> EstimateReport:
     mean-value bound h <= ((D + 1) / C_h) * H / Vol + 1, D the largest
     degree seen; violations make the report unusable and are counted.
     """
-    _check_args(sizes, samples)
+    _check_args(sizes, samples, seed)
     if mv_report is None:
         mv_report = estimate_mv(family, sizes, samples, seed)
     c_h = mv_report.estimates["c_h"]
@@ -357,7 +357,7 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
     sample against the closed-form overlap bound built from the run's own
     estimated constants.
     """
-    _check_args(sizes, samples)
+    _check_args(sizes, samples, seed)
     if alpha_report is None:
         alpha_report = estimate_alpha(family, sizes, samples, seed)
     if hlc_report is None:
@@ -410,7 +410,9 @@ def _inner_boundary(g, ball):
     return ball[(leaving[ball] > 0) | (g.sink_mult[ball] > 0)].tolist()
 
 
-def _check_args(sizes, samples):
+def _check_args(sizes, samples, seed):
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     if not sizes:
         raise PreconditionError("need at least one family size")
     if samples < 1:

@@ -156,7 +156,6 @@ class SandpileGraph:
         self.degree = degree
         self.sink_mult = sink_mult
         self._boundary = np.flatnonzero(sink_mult)
-        self._boundary_mult = sink_mult[self._boundary].tolist()
         self._max_degree = int(degree.max())
         self._lattice = None
         if block is not None:
@@ -394,17 +393,12 @@ def lattice_window(rows: int, cols: int) -> Multigraph:
     """
     if rows < 1 or cols < 1:
         raise PreconditionError("window must be at least 1x1")
-    edges = []
-    coords = {}
-    for x in range(rows):
-        for y in range(cols):
-            v = x * cols + y
-            coords[v] = (x, y)
-            if x + 1 < rows:
-                edges.append((v, (x + 1) * cols + y, 1))
-            if y + 1 < cols:
-                edges.append((v, x * cols + y + 1, 1))
-    return Multigraph(rows * cols, edges, coords)
+    m = rows * cols
+    indptr, indices, _ = _block_arrays(rows, cols)
+    u = np.repeat(np.arange(m), np.diff(indptr))
+    edges = np.column_stack([u, indices, np.ones_like(u)])[indices > u]
+    x, y = np.divmod(np.arange(m), cols)
+    return Multigraph(m, edges.tolist(), dict(enumerate(zip(x.tolist(), y.tolist()))))
 
 
 def _block_arrays(rows: int, cols: int):

@@ -98,6 +98,14 @@ def test_verify_site_needs_count(grid2_path):
     assert main(["verify", "--graph", grid2_path, "--site", "0"]) == 2
 
 
+def test_negative_seed_is_a_precondition_error(grid2_path, capsys):
+    for args in (["verify", "--graph", grid2_path],
+                 ["estimate", "alpha", "--family", "grid", "--sizes", "8", "--samples", "3"]):
+        assert main(args + ["--seed", "-1"]) == 2, args[0]
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+
 def test_verify_draws_below_twice_a_huge_degree(tmp_path, capsys):
     # degrees of 2**62 + 1: twice that wraps in int64
     path = tmp_path / "huge.json"
@@ -273,6 +281,8 @@ _GOLDEN = {
     "stabilize-bigint.json":
         "dc9a0fd2ea3f8f209701e50f3970b5b4542624b870532df2b202e27cdd33e04e",
     "flood.json": "ca2cc6e1c49683d71cae96f2d9cadea56a944a0851407d2ce0967734b5442ba6",
+    "tcl-single-site.json":
+        "3f3266620b5ac3b10b6c3ce43285ee336c2d8d0c5bdccd98015bbf404bbc8604",
     "epicenter.json": "c4c9f9299bc9e4624d6a490d260487f734a4953600d7e45d5c80b57c40587931",
     "epicenter-heuristic.json":
         "e7e8d298bbaad24a848cdc10c1225881051b81ef4680f5d0a99473239372168a",
@@ -298,6 +308,8 @@ def test_cli_artifacts_match_golden_digests(tmp_path):
          ["stabilize", "--graph", p("line6.json"), "--site", "1", "--count", str(10**20)]),
         ("flood.json",
          ["flood", "--graph", p("grid9.json"), "--site", "4,4", "--radius", "3"]),
+        ("tcl-single-site.json",
+         ["tcl", "single-site", "--graph", p("grid9.json"), "--site", "4,4"]),
         ("epicenter.json",
          ["epicenter", "--graph", p("grid9.json"), "--source", "4,4", "--target", "8,8"]),
         ("epicenter-heuristic.json",

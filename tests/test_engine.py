@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -426,16 +424,21 @@ def test_received_counts_placement(grid2):
 
 
 def _both_checks(g, c0, stable, score, absorbed):
-    fast = engine_mod._balance_check(g, c0, stable, score, absorbed)
-    exact = engine_mod._balance_check_exact(g, c0, stable, score, absorbed)
-    fast, exact = (None if r is None else r.tolist() for r in (fast, exact))
+    """The audit of the vectors as given and as object arrays, which force
+    the Python-int path: both must agree, and the received counts come
+    back when they accept and report ``absorbed``, else None."""
+    fast = engine_mod._balance_check(g, c0, stable, score)
+    exact = engine_mod._balance_check(
+        g, *(np.array([int(x) for x in a], dtype=object) for a in (c0, stable, score))
+    )
+    fast, exact = (None if r is None else (r[0].tolist(), r[1]) for r in (fast, exact))
     assert fast == exact
-    return fast
+    return None if fast is None or fast[1] != absorbed else fast[0]
 
 
 @pytest.mark.parametrize("g", [grid_sandpile(3), grid_sandpile(6), line_sandpile(5),
                                line_sandpile(12)], ids=["grid3", "grid6", "line5", "line12"])
-def test_int64_audit_agrees_with_exact_audit(g, monkeypatch):
+def test_int64_audit_agrees_with_exact_audit(g):
     rng = np.random.default_rng(5)
     deg = [int(d) for d in g.degree]
     runs = []
@@ -445,16 +448,13 @@ def test_int64_audit_agrees_with_exact_audit(g, monkeypatch):
     v = g.n_ordinary // 2
     runs.append((point_config(g, v, 500), stabilize(g, point_config(g, v, 500))))
 
-    def unexpected(*args):
-        raise AssertionError("small inputs must take the int64 path")
-
-    exact = engine_mod._balance_check_exact
-    monkeypatch.setattr(engine_mod, "_balance_check_exact", unexpected)
     for c, res in runs:
-        fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
-        assert fast.tolist() == res.received
-        assert fast.tolist() == exact(g, c, res.stable, res.score, res.sink_absorbed).tolist()
-    monkeypatch.setattr(engine_mod, "_balance_check_exact", exact)
+        received, absorbed = engine_mod._balance_check(g, c, res.stable, res.score)
+        # small inputs take the int64 path
+        assert received.dtype == np.int64
+        assert received.tolist() == res.received
+        assert absorbed == res.sink_absorbed
+        assert _both_checks(g, c, res.stable, res.score, absorbed) == res.received
 
     c, res = runs[-1]
     stable, score, absorbed = res.stable, res.score, res.sink_absorbed
@@ -477,7 +477,7 @@ def test_int64_audit_agrees_with_exact_audit(g, monkeypatch):
     assert _both_checks(g, s0, s0, [0] * g.n_ordinary, 0) == s0
 
 
-def test_int64_audit_bound_edge_takes_exact_path(monkeypatch):
+def test_int64_audit_bound_edge_takes_exact_path():
     g = line_sandpile(2)
 
     def bound(n):
@@ -492,24 +492,18 @@ def test_int64_audit_bound_edge_takes_exact_path(monkeypatch):
     assert bound(hi) >= 1 << 62 > bound(lo)
     assert hi > 1 << 58
 
-    calls = []
-    exact = engine_mod._balance_check_exact
-
-    def spy(*args):
-        calls.append(list(args[1]))
-        return exact(*args)
-
-    monkeypatch.setattr(engine_mod, "_balance_check_exact", spy)
-    for n in (lo, hi):
+    # the bound is what selects the dtype: each audit of the drop past it
+    # (one inside stabilize, one here) ran in Python ints, none below it
+    for n, dtype in ((lo, np.int64), (hi, object)):
         c = [n, 0]
         res = stabilize(g, c)
         assert sum(res.stable) + res.sink_absorbed == n
-        fast = engine_mod._balance_check(g, c, res.stable, res.score, res.sink_absorbed)
-        again = exact(g, c, res.stable, res.score, res.sink_absorbed)
-        assert fast.tolist() == res.received == again.tolist()
-    # the bound is what selects the path: each audit of the drop past it
-    # (one inside stabilize, one above) ran the exact loop, none below it
-    assert calls == [[hi, 0], [hi, 0]]
+        assert res._arrays[2].dtype == dtype
+        received, absorbed = engine_mod._balance_check(g, c, res.stable, res.score)
+        assert received.dtype == dtype
+        assert absorbed == res.sink_absorbed
+        again = _both_checks(g, c, res.stable, res.score, absorbed)
+        assert received.tolist() == res.received == again
 
 
 # -- transience -------------------------------------------------------------
@@ -548,6 +542,14 @@ def test_tcl_exact_witness_is_a_longest_chain(grid2):
         assert is_recurrent(grid2, stabilize(grid2, bumped).stable)
 
 
+def test_tcl_exact_pins_its_witnesses(grid2):
+    # the longest chain from each state takes the lowest site among ties
+    res = tcl_exact(grid2)
+    assert (res.value, res.witness) == (8, [0, 0, 0, 0, 1, 1, 1, 1])
+    res = tcl_exact(line_sandpile(4))
+    assert (res.value, res.witness) == (19, [0] * 19)
+
+
 def test_tcl_state_limit(grid2):
     with pytest.raises(ResourceLimitError, match="state space"):
         tcl_exact(grid2, state_limit=10)
@@ -568,7 +570,7 @@ def test_bigint_path_matches_int64():
     # the exact-integer path for large totals is the fifo worklist
     g = grid_sandpile(3)
     c = [10**6 if v == 4 else 0 for v in range(9)]
-    fast = engine_mod._stabilize_batch_int64(g, c)
+    fast = engine_mod._stabilize_lattice(g, c)
     slow = engine_mod._stabilize_worklist(g, c, "fifo", None)
     assert [a.tolist() for a in fast] == [a.tolist() for a in slow]
 
@@ -577,7 +579,7 @@ def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
     # a path hanging off the sink: the far end topples ~10x its particles
     g = SandpileGraph(Multigraph(11, [(i, i + 1, 1) for i in range(10)]), 10)
     c = [1000] + [0] * 9
-    want = engine_mod._stabilize_batch_int64(g, c)
+    want = engine_mod._stabilize_sparse(g, c)
     assert max(want[1]) > 2000
     calls = []
     worklist = engine_mod._stabilize_worklist
@@ -615,11 +617,9 @@ def test_stats_move_with_stabilizations(grid2):
 def _kernel_outcomes(g, c):
     """(stable, score) as lists from the stencil, the sparse batch kernel
     and the fifo worklist, in that order."""
-    sparse = copy.copy(g)
-    sparse._lattice = None
     runs = (
-        engine_mod._stabilize_batch_int64(g, c),
-        engine_mod._stabilize_batch_int64(sparse, c),
+        engine_mod._stabilize_lattice(g, c),
+        engine_mod._stabilize_sparse(g, c),
         engine_mod._stabilize_worklist(g, c, "fifo", None),
     )
     assert all(a.dtype == np.int64 for run in runs for a in run)

@@ -149,6 +149,14 @@ def test_run_spec_validation():
         estimate_alpha("grid", [8], 0, 0)
 
 
+@pytest.mark.parametrize(
+    "estimate", [estimate_alpha, estimate_hlc, estimate_mv, estimate_ls, estimate_op]
+)
+def test_negative_seed_rejected(estimate):
+    with pytest.raises(PreconditionError, match="seed must be nonnegative"):
+        estimate("grid", [8], 3, -1)
+
+
 # -- report format ----------------------------------------------------------
 
 

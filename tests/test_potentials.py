@@ -320,10 +320,8 @@ def test_weak_duality_sampled(grid8):
 
 
 def _rechecks(g, res, c):
-    received = engine_mod._balance_check(
-        g, c, res.stable, res.score, res.sink_absorbed
-    )
-    return received is not None
+    checked = engine_mod._balance_check(g, c, res.stable, res.score)
+    return checked is not None and checked[1] == res.sink_absorbed
 
 
 def test_verify_identity_accepts_real_runs(grid4):
