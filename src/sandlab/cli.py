@@ -64,7 +64,7 @@ def _load(graph_path):
         return graph_core.load_graph(graph_path)
     except OSError as exc:
         raise PreconditionError(f"cannot read {graph_path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise PreconditionError(f"{graph_path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise PreconditionError(f"{graph_path} nests JSON too deeply") from None

@@ -9,14 +9,14 @@ is unstable.  The final configuration and the per-vertex toppling counts
 scheduling policies are offered: they are observability knobs, not
 semantics knobs.
 
-The default "batch" policy fires every unstable vertex its full quota each
-round, in int64.  On a lattice block (a grid, line or strip, or any graph
-whose arrays are exactly those ``graph_core`` builds for one, such as a
-``sandlab gen grid`` file loaded back) a round is a shift stencil over the
-rows that can hold unstable sites; on every other graph it sums each
-vertex's inflow over the graph's CSR arrays (``SandpileGraph._inflow``).
-Both hand a run that could outgrow int64 to the exact fifo worklist.
-``engine_stats`` counts stabilizations by the kernel that produced them.
+Two kernels stabilize.  On a lattice block (a grid, line or strip, or any
+graph whose arrays are exactly those ``graph_core`` builds for one, such as
+a ``sandlab gen grid`` file loaded back) the default "batch" policy fires
+every unstable vertex its full quota each round, in int64, by a shift
+stencil over the rows that can hold unstable sites.  Every other run takes
+an exact worklist in Python ints: the named policy, or fifo for a batch run
+off lattice blocks or one that could outgrow int64.  ``engine_stats``
+counts stabilizations by the kernel that produced them.
 
 Every stabilization is closed out by one exact integer audit,
 ``_balance_check``, of
@@ -95,7 +95,6 @@ _STATS = {
     "identity_checks": 0,
     "identity_failures": 0,
     "lattice_stencil": 0,
-    "sparse_batch": 0,
     "worklist": 0,
 }
 
@@ -104,11 +103,11 @@ def engine_stats() -> dict:
     """Counters for the always-on stabilization audit (copies, not views).
 
     ``stabilizations``, ``identity_checks`` and ``identity_failures`` count
-    ``stabilize`` calls and their audits.  ``lattice_stencil``,
-    ``sparse_batch`` and ``worklist`` count stabilizations by the kernel
-    that produced the result: the batch stencil on a lattice block, the
-    batch sparse product on any other graph, and an exact worklist (the
-    fifo, lifo and random policies, and every batch run handed to fifo).
+    ``stabilize`` calls and their audits.  ``lattice_stencil`` and
+    ``worklist`` count stabilizations by the kernel that produced the
+    result: the batch stencil on a lattice block, and an exact worklist
+    (the fifo, lifo and random policies, and every other batch run, which
+    goes to fifo).
     """
     return dict(_STATS)
 
@@ -228,8 +227,9 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     """Stabilize ``counts`` on ``g`` and return a ``StabilizationResult``.
 
     ``policy`` picks the internal toppling order: "batch" (default) fires
-    every unstable vertex its full quota per int64 sweep and hands runs that
-    could outgrow int64 to "fifo"; "fifo"/"lifo" run an exact worklist, and
+    every unstable vertex its full quota per int64 stencil round on a
+    lattice block, and runs "fifo" on every other graph and whenever the
+    counts could outgrow int64; "fifo"/"lifo" run an exact worklist, and
     "random" pops the worklist in seeded random order.  The result is
     policy independent; only performance differs.
     """
@@ -237,11 +237,8 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     if policy not in ("batch", "fifo", "lifo", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
     out = None
-    if policy == "batch" and _total(c0) < _INT64_SAFE_TOTAL:
-        if g._lattice is None:
-            path, out = "sparse_batch", _stabilize_sparse(g, c0)
-        else:
-            path, out = "lattice_stencil", _stabilize_lattice(g, c0)
+    if policy == "batch" and g._lattice is not None and _total(c0) < _INT64_SAFE_TOTAL:
+        path, out = "lattice_stencil", _stabilize_lattice(g, c0)
     if out is None:
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
@@ -249,32 +246,12 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     return _audit(g, c0, *out)
 
 
-def _stabilize_sparse(g, c0):
-    """Batch rounds in int64 over the CSR arrays: every unstable vertex
-    fires its full quota ``c // degree`` each round.  Returns ``(stable,
-    score)``, or None once a toppling count passes ``_INT64_SAFE_TOTAL``,
-    so that the caller can rerun in exact integers rather than risk 64-bit
-    overflow."""
-    deg = g.degree
-    c = np.array(c0, dtype=np.int64)
-    z = np.zeros(g.n_ordinary, dtype=np.int64)
-    rounds = 0
-    while True:
-        k = c // deg
-        if not k.any():
-            break
-        z += k
-        c += g._inflow(k) - k * deg
-        rounds += 1
-        if rounds > 50_000_000:
-            raise InternalError("batch stabilization failed to converge")
-        if z.max() > _INT64_SAFE_TOTAL:
-            return None
-    return c, z
-
-
 def _stabilize_lattice(g, c0):
-    """``_stabilize_sparse`` on a lattice block, by a shift stencil.
+    """Batch rounds in int64 on a lattice block, by a shift stencil: every
+    unstable vertex fires its full quota ``c // degree`` each round.
+    Returns ``(stable, score)``, or None once a toppling count passes
+    ``_INT64_SAFE_TOTAL``, so that the caller can rerun in exact integers
+    rather than risk 64-bit overflow.
 
     The counts live in a flat, padded row-major array: row x of the block
     at ``(x + 1) * W + y`` with ``W = cols + 1``, so that the pad column
@@ -342,8 +319,9 @@ def _stabilize_worklist(g, c0, policy, seed):
     work = [v for v in range(g.n_ordinary) if c[v] >= deg[v]]
     for v in work:
         queued[v] = True
-    rng = random.Random(seed if seed is not None else 0)
-    if policy in ("fifo", "lifo"):
+    if policy == "random":
+        rng = random.Random(seed if seed is not None else 0)
+    else:
         work = deque(work)
     while work:
         if policy == "fifo":

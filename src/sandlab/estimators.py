@@ -298,7 +298,7 @@ def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
                    {}, witness, excluded)
 
 
-def estimate_ls(family, sizes, samples, seed, mv_report=None) -> EstimateReport:
+def estimate_ls(family, sizes, samples, seed) -> EstimateReport:
     """Uniform-ball thresholds against single-site thresholds.
 
     Samples (v, r, R, w) with w on the inner boundary of the outer ball,
@@ -309,9 +309,7 @@ def estimate_ls(family, sizes, samples, seed, mv_report=None) -> EstimateReport:
     degree seen; violations make the report unusable and are counted.
     """
     _check_args(sizes, samples, seed)
-    if mv_report is None:
-        mv_report = estimate_mv(family, sizes, samples, seed)
-    c_h = mv_report.estimates["c_h"]
+    c_h = estimate_mv(family, sizes, samples, seed).estimates["c_h"]
     rows = []
     excluded = 0
     dmax = 0
@@ -349,8 +347,7 @@ def estimate_ls(family, sizes, samples, seed, mv_report=None) -> EstimateReport:
                    flags, witness, excluded)
 
 
-def estimate_op(family, sizes, samples, seed, alpha_report=None,
-                hlc_report=None, mv_report=None) -> EstimateReport:
+def estimate_op(family, sizes, samples, seed) -> EstimateReport:
     """Uniform inner-ball count needed to topple a whole outer ball.
 
     Tabulates the threshold against the radius ratio R / r and checks each
@@ -358,16 +355,11 @@ def estimate_op(family, sizes, samples, seed, alpha_report=None,
     estimated constants.
     """
     _check_args(sizes, samples, seed)
-    if alpha_report is None:
-        alpha_report = estimate_alpha(family, sizes, samples, seed)
-    if hlc_report is None:
-        hlc_report = estimate_hlc(family, sizes, samples, seed)
-    if mv_report is None:
-        mv_report = estimate_mv(family, sizes, samples, seed)
+    alpha_report = estimate_alpha(family, sizes, samples, seed)
     alpha = alpha_report.estimates["alpha"]
     delta_lo = alpha_report.estimates["delta_lo"]
-    c_sigma = hlc_report.estimates["c_sigma"]
-    c_h = mv_report.estimates["c_h"]
+    c_sigma = estimate_hlc(family, sizes, samples, seed).estimates["c_sigma"]
+    c_h = estimate_mv(family, sizes, samples, seed).estimates["c_h"]
     rows = []
     violations = 0
     by_ratio: dict[float, int] = {}

@@ -9,25 +9,25 @@ This module alone holds the Laplacian solver state: one record per graph,
 in a ``WeakKeyDictionary`` so that it dies with the graph, with the float
 degrees, what the solve path keeps across poles, and a field cache of at
 most ``_FIELD_CACHE_BYTES`` (oldest pole evicted first).  The sink-reduced
-Laplacian ``L x = b`` is solved one of three ways:
+Laplacian ``L x = b`` is solved one of two ways:
 
-- graphs of at most ``DIRECT_SOLVE_LIMIT`` ordinary vertices: a sparse LU
-  factor (COLAMD order), built once and reused for every pole;
-- larger lattice blocks (grids, lines and strips, as recognised by
-  ``graph_core``): exactly, by the sine transform.  There ``L`` is the
-  Dirichlet Laplacian ``T_rows (x) I + I (x) T_cols`` with
-  ``T_k = tridiag(-1, 2, -1)``, which the orthonormal DST-I diagonalizes
-  (the fast Poisson solver of Buzbee, Golub & Nielson 1970); the DST is
-  one ``numpy.fft.rfft`` of the odd extension, so no factor is stored;
-- every other graph above the limit: Jacobi-preconditioned conjugate
-  gradient.  A factor of such graphs costs memory (COLAMD on grid 100
-  adds about 11 MB of peak RSS), so CG stays until a factorization
-  uses less.
+- lattice blocks (grids, lines and strips, as recognised by ``graph_core``)
+  above ``DIRECT_SOLVE_LIMIT`` ordinary vertices: exactly, by the sine
+  transform.  There ``L`` is the Dirichlet Laplacian
+  ``T_rows (x) I + I (x) T_cols`` with ``T_k = tridiag(-1, 2, -1)``, which
+  the orthonormal DST-I diagonalizes (the fast Poisson solver of Buzbee,
+  Golub & Nielson 1970); the DST is one ``numpy.fft.rfft`` of the odd
+  extension, so no factor is stored;
+- every other graph: a sparse LU factor (COLAMD order), built once and
+  reused for every pole.  Its fill is the memory cost of this path: on
+  L-shaped lattice regions of 34 561 and 101 568 ordinary vertices the
+  factor holds 2.6 M and 9.6 M nonzeros (about 30 and 109 MB), the first
+  pole takes 0.4 and 1.0 s and each later pole 8 and 36 ms.
 
-scipy is imported only by the LU and CG paths, when their solver record
-is built, not with this module: its import costs more than most engine
-answers, so importing ``sandlab``, answering without a potential or solving
-on a lattice block above the limit loads none of it.  The harmonicity
+scipy is imported only by the LU path, when its solver record is built,
+not with this module: its import costs more than most engine answers, so
+importing ``sandlab``, answering without a potential or solving on a
+lattice block above the limit loads none of it.  The harmonicity
 residual and the dual certificate multiply by the adjacency through
 ``SandpileGraph._inflow``.
 
@@ -147,25 +147,22 @@ def _dst2(a):
 
 
 class _Solver:
-    """One graph's solver state: float degrees, the LU factor, the lattice
-    spectrum or the float Laplacian that CG multiplies by, and the field
-    cache."""
+    """One graph's solver state: float degrees, the lattice spectrum or the
+    LU factor, and the field cache."""
 
     def __init__(self, g: SandpileGraph):
         self.degree = np.asarray(g.degree, dtype=float)
-        self.lu = self.spectrum = self.lap = None
-        if g.n_ordinary <= DIRECT_SOLVE_LIMIT:
-            import scipy.sparse as sp
-            import scipy.sparse.linalg as spla
-
-            self.lu = spla.splu(sp.csc_matrix(g.laplacian().astype(float)))
-        elif g._lattice is not None:
+        self.lu = self.spectrum = None
+        if g._lattice is not None and g.n_ordinary > DIRECT_SOLVE_LIMIT:
             rows, cols = g._lattice[:2]
             self.spectrum = (
                 _dirichlet_eigenvalues(rows)[:, None] + _dirichlet_eigenvalues(cols)
             )
         else:
-            self.lap = g.laplacian().astype(float)
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+
+            self.lu = spla.splu(sp.csc_matrix(g.laplacian().astype(float)))
         self.fields: dict[int, PotentialField] = {}
 
 
@@ -181,19 +178,10 @@ def _solver(g: SandpileGraph) -> _Solver:
 
 def _laplacian_solve(rec: _Solver, rhs: np.ndarray) -> np.ndarray:
     """Solve L x = rhs for the sink-reduced Laplacian."""
-    if rec.lu is not None:
-        return rec.lu.solve(rhs)
     if rec.spectrum is not None:
         spectrum = rec.spectrum
         return _dst2(_dst2(rhs.reshape(spectrum.shape)) / spectrum).ravel()
-    import scipy.sparse.linalg as spla
-
-    m = len(rhs)
-    precond = spla.LinearOperator((m, m), matvec=lambda x: x / rec.degree)
-    x, info = spla.cg(rec.lap, rhs, rtol=1e-12, atol=1e-14, maxiter=20 * m, M=precond)
-    if info != 0:
-        raise InternalError(f"conjugate gradient failed to converge (info={info})")
-    return x
+    return rec.lu.solve(rhs)
 
 
 def _harmonic_residual(g: SandpileGraph, rec: _Solver, values, skip):

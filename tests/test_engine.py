@@ -192,6 +192,33 @@ def test_strip_matches_naive_oracle():
         assert (res.stable, res.score, res.sink_absorbed) == (stable, score, absorbed)
 
 
+@st.composite
+def _multigraph_configs(draw):
+    """A connected multigraph on 2-7 vertices with parallel edges of
+    multiplicity 1-3, a sink anywhere, and counts below twice each degree."""
+    n = draw(st.integers(2, 7))
+    mult = st.integers(1, 3)
+    edges = [(v, draw(st.integers(0, v - 1)), draw(mult)) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 10))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.append((u, v, draw(mult)))
+    g = SandpileGraph(Multigraph(n, edges), draw(st.integers(0, n - 1)))
+    c = [draw(st.integers(0, 2 * int(d) - 1)) for d in g.degree]
+    return g, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_multigraph_configs(), seed=st.integers(0, 2**32 - 1))
+def test_multigraphs_match_naive_oracle_under_every_policy(case, seed):
+    # off lattice blocks every batch run takes the worklist
+    g, c = case
+    want = oracles.naive_stabilize(g, c)
+    for policy in ("batch", "fifo", "lifo", "random"):
+        res = stabilize(g, c, policy=policy, seed=seed)
+        assert (res.stable, res.score, res.sink_absorbed) == want, policy
+
+
 # -- structural laws --------------------------------------------------------
 
 
@@ -576,10 +603,12 @@ def test_bigint_path_matches_int64():
 
 
 def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
-    # a path hanging off the sink: the far end topples ~10x its particles
+    # a path hanging off the sink: the far end topples ~10x its particles.
+    # Off lattice blocks, a batch run goes to the fifo worklist, the path
+    # that also takes lattice runs past int64 safety.
     g = SandpileGraph(Multigraph(11, [(i, i + 1, 1) for i in range(10)]), 10)
     c = [1000] + [0] * 9
-    want = engine_mod._stabilize_sparse(g, c)
+    want = engine_mod._stabilize_worklist(g, c, "fifo", None)
     assert max(want[1]) > 2000
     calls = []
     worklist = engine_mod._stabilize_worklist
@@ -588,7 +617,6 @@ def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
         calls.append(args[2:])
         return worklist(*args)
 
-    monkeypatch.setattr(engine_mod, "_INT64_SAFE_TOTAL", 2000)
     monkeypatch.setattr(engine_mod, "_stabilize_worklist", spy)
     res = stabilize(g, c)
     assert calls == [("fifo", None)]
@@ -615,11 +643,10 @@ def test_stats_move_with_stabilizations(grid2):
 
 
 def _kernel_outcomes(g, c):
-    """(stable, score) as lists from the stencil, the sparse batch kernel
-    and the fifo worklist, in that order."""
+    """(stable, score) as lists from the stencil and the fifo worklist, in
+    that order."""
     runs = (
         engine_mod._stabilize_lattice(g, c),
-        engine_mod._stabilize_sparse(g, c),
         engine_mod._stabilize_worklist(g, c, "fifo", None),
     )
     assert all(a.dtype == np.int64 for run in runs for a in run)
@@ -639,20 +666,20 @@ def _kernel_outcomes(g, c):
 @example(rows=1, cols=12, seed=1, top=4, site=0.5, drop=2000)
 @example(rows=12, cols=1, seed=2, top=4, site=0.0, drop=2000)
 @example(rows=12, cols=12, seed=3, top=12, site=0.5, drop=3000)
-def test_lattice_stencil_matches_sparse_and_fifo(rows, cols, seed, top, site, drop):
+def test_lattice_stencil_matches_fifo(rows, cols, seed, top, site, drop):
     g = strip_sandpile(rows, cols)
     assert g._lattice is not None
     c = np.random.default_rng(seed).integers(0, top, size=g.n_ordinary)
     c[int(site * g.n_ordinary)] += drop
-    stencil, sparse, fifo = _kernel_outcomes(g, c)
-    assert stencil == sparse == fifo
+    stencil, fifo = _kernel_outcomes(g, c)
+    assert stencil == fifo
     # a drop above what the block can hold stable reaches the sink
     if drop >= 4 * g.n_ordinary:
         assert sum(stencil[0]) < int(c.sum())
 
 
 def _path_counts(g, c):
-    keys = ("lattice_stencil", "sparse_batch", "worklist")
+    keys = ("lattice_stencil", "worklist")
     before = engine_stats()
     res = stabilize(g, c)
     after = engine_stats()
@@ -680,7 +707,7 @@ def test_lattice_blocks_take_the_stencil():
     ]
     for g in graphs:
         c = [9] * g.n_ordinary
-        assert _path_counts(g, c) == {"lattice_stencil": 1, "sparse_batch": 0, "worklist": 0}
+        assert _path_counts(g, c) == {"lattice_stencil": 1, "worklist": 0}
         assert _path_counts(g, [1] * g.n_ordinary)["lattice_stencil"] == 1
 
 
@@ -695,14 +722,14 @@ def _swapped_grid5(x, y):
     return graph_from_json(doc)
 
 
-def test_near_lattices_take_the_sparse_kernel():
+def test_near_lattices_take_the_worklist():
     # an L-shaped window: every degree is 4, but it is no block
     ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
     for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
         assert g._lattice is None
         assert (g.degree == 4).all()
         c = [9] * g.n_ordinary
-        assert _path_counts(g, c) == {"lattice_stencil": 0, "sparse_batch": 1, "worklist": 0}
+        assert _path_counts(g, c) == {"lattice_stencil": 0, "worklist": 1}
 
 
 def test_worklist_policies_and_large_totals_count_as_worklist(line2):

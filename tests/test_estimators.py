@@ -122,10 +122,12 @@ def test_op_grid_frozen():
 
 
 def test_op_uses_supplied_reports():
+    # estimate_op supplies its constants from the reports of its own
+    # (family, sizes, samples, seed)
     a = estimate_alpha("grid", [8], 10, 3)
     h = estimate_hlc("grid", [8], 10, 3)
     m = estimate_mv("grid", [8], 10, 3)
-    rep = estimate_op("grid", [8], 10, 3, alpha_report=a, hlc_report=h, mv_report=m)
+    rep = estimate_op("grid", [8], 10, 3)
     assert rep.estimates["alpha_used"] == a.estimates["alpha"]
     assert rep.estimates["c_sigma_used"] == h.estimates["c_sigma"]
     assert rep.estimates["c_h_used"] == m.estimates["c_h"]

@@ -174,7 +174,7 @@ def test_dst_is_the_orthonormal_sine_matrix():
         assert np.abs(potentials_mod._dst(potentials_mod._dst(a)) - a).max() <= 1e-13
 
 
-def test_non_lattice_graphs_above_the_limit_take_cg(monkeypatch):
+def test_non_lattice_graphs_above_the_limit_take_lu(monkeypatch):
     ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
     monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
     for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
@@ -187,7 +187,7 @@ def test_non_lattice_graphs_above_the_limit_take_cg(monkeypatch):
         for u, v in ((0, m - 1), (g.sink, m // 2)):
             assert abs(effective_resistance(g, u, v) - _lu_resistance(g, u, v)) <= 1e-9
         rec = potentials_mod._solver(g)
-        assert rec.lu is None and rec.spectrum is None
+        assert rec.lu is not None and rec.spectrum is None
 
 
 @pytest.mark.parametrize("limit", [potentials_mod.DIRECT_SOLVE_LIMIT, 0])
