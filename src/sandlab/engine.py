@@ -13,9 +13,10 @@ Two kernels stabilize.  On a lattice block (a grid, line or strip, or any
 graph whose arrays are exactly those ``graph_core`` builds for one, such as
 a ``sandlab gen grid`` file loaded back) the default "batch" policy fires
 every unstable vertex its full quota each round, in int64, by a shift
-stencil over the rows that can hold unstable sites.  Every other run takes
-an exact worklist in Python ints: the named policy, or fifo for a batch run
-off lattice blocks or one that could outgrow int64.  ``engine_stats``
+stencil over the rows that can hold unstable sites, when the odometer
+bound of ``_stabilize_lattice`` proves that int64 holds the run.  Every
+other run takes an exact worklist in Python ints: the named policy, or fifo
+for a batch run off lattice blocks or past that bound.  ``engine_stats``
 counts stabilizations by the kernel that produced them.
 
 Every stabilization is closed out by one exact integer audit,
@@ -83,10 +84,6 @@ __all__ = [
 
 DEFAULT_STATE_LIMIT = 1 << 20
 
-# counts below this total take the vectorized int64 path; larger ones use
-# the exact fifo worklist (the line family grows thresholds exponentially)
-_INT64_SAFE_TOTAL = 1 << 52
-
 # int64 sums of two counts below this bound are exact
 _INT64_HEADROOM = 1 << 62
 
@@ -105,9 +102,9 @@ def engine_stats() -> dict:
     ``stabilizations``, ``identity_checks`` and ``identity_failures`` count
     ``stabilize`` calls and their audits.  ``lattice_stencil`` and
     ``worklist`` count stabilizations by the kernel that produced the
-    result: the batch stencil on a lattice block, and an exact worklist
-    (the fifo, lifo and random policies, and every other batch run, which
-    goes to fifo).
+    result: the batch stencil on a lattice block whose odometer bound
+    ``total * reach`` is below 2**62, and an exact worklist (the fifo, lifo
+    and random policies, and every other batch run, which goes to fifo).
     """
     return dict(_STATS)
 
@@ -228,18 +225,18 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
 
     ``policy`` picks the internal toppling order: "batch" (default) fires
     every unstable vertex its full quota per int64 stencil round on a
-    lattice block, and runs "fifo" on every other graph and whenever the
-    counts could outgrow int64; "fifo"/"lifo" run an exact worklist, and
-    "random" pops the worklist in seeded random order.  The result is
+    lattice block whose counts provably stay within int64, and runs "fifo"
+    on every other graph and input; "fifo"/"lifo" run an exact worklist,
+    and "random" pops the worklist in seeded random order.  The result is
     policy independent; only performance differs.
     """
     c0 = normalize_config(g, counts)
     if policy not in ("batch", "fifo", "lifo", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    out = None
-    if policy == "batch" and g._lattice is not None and _total(c0) < _INT64_SAFE_TOTAL:
+    block = g._lattice and g._lattice[:2]
+    if policy == "batch" and block and _total(c0) * ((min(block) + 1) // 2) < _INT64_HEADROOM:
         path, out = "lattice_stencil", _stabilize_lattice(g, c0)
-    if out is None:
+    else:
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
     _STATS[path] += 1
@@ -249,9 +246,19 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
 def _stabilize_lattice(g, c0):
     """Batch rounds in int64 on a lattice block, by a shift stencil: every
     unstable vertex fires its full quota ``c // degree`` each round.
-    Returns ``(stable, score)``, or None once a toppling count passes
-    ``_INT64_SAFE_TOTAL``, so that the caller can rerun in exact integers
-    rather than risk 64-bit overflow.
+    Returns ``(stable, score)``.
+
+    ``stabilize`` runs it only when ``total * reach < 2**62``, with
+    ``total = sum(c0)`` and ``reach = (min(rows, cols) + 1) // 2``, and then
+    no value of the run can overflow.  The score is the odometer
+    ``G (c0 - stable) <= G c0``, where ``G = L^-1`` is the Green's function
+    of the sink-reduced Laplacian, which is nonnegative.  By the maximum
+    principle ``G(v, w) <= G(w, w) = R_eff(w, sink)``, and by Rayleigh
+    monotonicity ``R_eff(w, sink) <= eta(w) + 1 <= reach``, the length of a
+    shortest path from w to the sink.  So every toppling count is at most
+    ``total * reach``, at the end and, as toppling counts only grow, at
+    every round.  The padded array conserves particles (the pad keeps what
+    the sink absorbs), so no cell ever holds more than ``total``.
 
     The counts live in a flat, padded row-major array: row x of the block
     at ``(x + 1) * W + y`` with ``W = cols + 1``, so that the pad column
@@ -294,12 +301,6 @@ def _stabilize_lattice(g, c0):
             continue
         if rounds > 50_000_000:
             raise InternalError("batch stabilization failed to converge")
-        # Checked every 8 rounds, not every round: a round adds at most
-        # total / 4 < 2**50 to a count, so z stays below
-        # 2**52 + 8 * 2**50 < 2**63.  [lo, hi) holds every row fired since
-        # the last check, because it only grows between checks.
-        if z[lo:hi].max() > _INT64_SAFE_TOTAL:
-            return None
         fire = np.flatnonzero(k)
         if not fire.size:
             break
@@ -348,7 +349,6 @@ def _stabilize_worklist(g, c0, policy, seed):
 
 def _audit(g, c0, stable, score):
     """Close out a stabilization with the exact balance check, or raise."""
-    stable, score = np.asarray(stable), np.asarray(score)
     _STATS["stabilizations"] += 1
     _STATS["identity_checks"] += 1
     checked = _balance_check(g, c0, stable, score)

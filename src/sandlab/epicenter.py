@@ -139,7 +139,8 @@ class BoundParams:
 
     @classmethod
     def grid_defaults(cls) -> "BoundParams":
-        return cls(c_sigma=2.0, c_h=0.25, max_degree=4, delta_lo=1.0, alpha=2.0)
+        return cls(c_sigma=2.0, c_h=0.25, max_degree=4, delta_lo=1.0, alpha=2.0,
+                   drift_len=0.5)
 
     @classmethod
     def from_estimates(cls, alpha_report, hlc_report, mv_report):
@@ -203,7 +204,8 @@ def find_central_path_grid(g, p, q) -> CentralPath:
     """Staircase path from p to q through the grid center, classified.
 
     Uses at most two legs (p to center, center to q), each a staircase
-    under the straight segment, so at most two linear segments result.
+    under the straight segment.  Segments are classified with the grid
+    defaults' ``drift_len``, the one ``tcl_bound`` reads.
     """
     side = _grid_side(g)
     if side is None:
@@ -212,8 +214,9 @@ def find_central_path_grid(g, p, q) -> CentralPath:
         )
     g.check_ordinary(p, "path start")
     g.check_ordinary(q, "path end")
+    l = BoundParams.grid_defaults().drift_len
     if p == q:
-        return CentralPath(vertices=(), eta=(), segments=(), drift_len=0.0)
+        return CentralPath(vertices=(), eta=(), segments=(), drift_len=l)
     mid = (side - 1) // 2
     center = g.vertex_at(mid, mid)
     cp, cq, cc = g.coords[p], g.coords[q], g.coords[center]
@@ -226,15 +229,17 @@ def find_central_path_grid(g, p, q) -> CentralPath:
         coords = first + second[1:]
         breaks = [len(first) - 1]
     vertices = [g.vertex_at(x, y) for x, y in coords]
-    return classify_path(g, vertices, breaks=breaks)
+    return classify_path(g, vertices, l=l, breaks=breaks)
 
 
 def classify_path(g, path, l=0.0, breaks=None) -> CentralPath:
     """Fit eta along the path and label each linear segment with its phase.
 
-    Segments whose residuals exceed one unit are split at interior eta
-    extremes and refit; flat segments longer than ``l * log(graph size)``
-    disqualify the path.
+    A segment that is not linear with a clear slope is split at an interior
+    eta extreme and both parts refit.  One without such an extreme is a
+    drift when it is linear and spans at most ``l * log(graph size)`` steps,
+    and disqualifies the path otherwise.  Since splits come first, a larger
+    ``l`` only turns refusals into drift segments.
     """
     vertices = [int(v) for v in path]
     for v in vertices:
@@ -268,10 +273,10 @@ def classify_path(g, path, l=0.0, breaks=None) -> CentralPath:
         if linear and b <= -0.1:
             segments.append(PathSegment(s, e, b, a_l, a_u, "contraction"))
             return
-        if linear and e - s <= drift_cap:
+        cut = _split_point(eta, s, e)
+        if cut is None and linear and e - s <= drift_cap:
             segments.append(PathSegment(s, e, b, a_l, a_u, "drift"))
             return
-        cut = _split_point(eta, s, e)
         if cut is None:
             raise PreconditionError("path not (k,l)-central")
         classify(s, cut, depth + 1)
@@ -353,6 +358,8 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
     """
     g.check_ordinary(p, "source")
     g.check_ordinary(q, "target")
+    if max_steps < 0:
+        raise PreconditionError(f"max_steps must be nonnegative, got {max_steps}")
     if p == q:
         k0 = flood_count(g, p, [p])
         return FloodTrace(k0=k0, steps=(), total=k0, target_flooded=True)

@@ -352,35 +352,24 @@ def build_sandpile(ambient: Multigraph, subset) -> SandpileGraph:
     for v in chosen:
         if not (0 <= v < ambient.vertex_count):
             raise PreconditionError(f"subset vertex {v} out of range")
-    index = {v: i for i, v in enumerate(chosen)}
     m = len(chosen)
-    sink = m
-
-    edges = []
-    boundary = 0
-    for u, v, mult in ambient.edges:
-        iu, iv = index.get(u), index.get(v)
-        if iu is not None and iv is not None:
-            edges.append((iu, iv, mult))
-        elif iu is not None:
-            edges.append((iu, sink, mult))
-            boundary += mult
-        elif iv is not None:
-            edges.append((iv, sink, mult))
-            boundary += mult
-    inner = np.array([(a, b) for a, b, _ in edges if b != sink], dtype=np.int64)
-    inner = inner.reshape(-1, 2)
-    links = _csr(m, inner[:, 0], inner[:, 1], np.ones(len(inner), dtype=np.int64))
-    if len(_bfs(*links[:2], [0])) != m:
+    # subset vertices become 0..m-1 in label order, every other vertex the sink m
+    label = np.full(ambient.vertex_count, m, dtype=np.int64)
+    label[chosen] = np.arange(m)
+    u, v, mult = ambient._columns
+    u, v = label[u], label[v]
+    inner, kept = (u < m) & (v < m), (u < m) | (v < m)
+    a, b = u[inner], v[inner]
+    if len(_bfs(*_csr(m, a, b, np.ones_like(a))[:2], [0])) != m:
         raise PreconditionError("subset not connected")
-    if boundary == 0:
+    if np.array_equal(inner, kept):
         raise PreconditionError("subset has no boundary edges")
 
     coords = None
     if ambient.coords:
-        coords = {index[v]: ambient.coords[v] for v in chosen if v in ambient.coords}
-    graph = Multigraph(m + 1, edges, coords)
-    return SandpileGraph(graph, sink)
+        coords = {i: ambient.coords[w] for i, w in enumerate(chosen) if w in ambient.coords}
+    edges = zip(u[kept].tolist(), v[kept].tolist(), mult[kept].tolist())
+    return SandpileGraph(Multigraph(m + 1, edges, coords), m)
 
 
 def lattice_window(rows: int, cols: int) -> Multigraph:

@@ -263,6 +263,13 @@ def test_epicenter_takes_no_bound_constants(grid2_path, option):
                  "--target", "3", option, "2"]) == 1
 
 
+def test_epicenter_negative_max_steps_exits_2(grid2_path, capsys):
+    assert main(["epicenter", "--graph", grid2_path, "--source", "0",
+                 "--target", "3", "--max-steps", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "max_steps must be nonnegative, got -1" in err and "Traceback" not in err
+
+
 # -- golden artifacts -------------------------------------------------------
 
 # sha256 of each -o artifact: a change to how graphs are stored or how

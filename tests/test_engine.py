@@ -624,7 +624,7 @@ def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
 
 
 def test_huge_placement_is_exact(line2):
-    n = 2**53  # beyond the int64-safe envelope, forces exact integers
+    n = 2**53
     res = stabilize(line2, [n, 0])
     assert sum(res.stable) + res.sink_absorbed == n
     assert all(0 <= x < 4 for x in res.stable)
@@ -739,34 +739,43 @@ def test_worklist_policies_and_large_totals_count_as_worklist(line2):
     for policy in ("fifo", "lifo", "random"):
         stabilize(g, [9] * 16, policy=policy, seed=1)
     assert engine_stats()["worklist"] == before + 3
-    assert _path_counts(line2, [2**53, 0])["worklist"] == 1
+    assert _path_counts(line2, [2**62, 0])["worklist"] == 1
 
 
-def test_lattice_overflow_fallback_uses_fifo_worklist(monkeypatch):
-    # No count below the bound topples a vertex of a small lattice block
-    # as often as the bound, so the bound is lowered only once the
-    # stencil runs, as if its counts had grown past int64 safety.
-    g = grid_sandpile(12)
-    c = point_config(g, 78, 2000)
-    want = engine_mod._stabilize_lattice(g, c)
-    assert max(want[1]) > 100
-    calls = []
-    worklist, lattice = engine_mod._stabilize_worklist, engine_mod._stabilize_lattice
+@pytest.mark.parametrize(
+    "g, reach", [(grid_sandpile(3), 2), (line_sandpile(2), 1)], ids=["grid3", "line2"]
+)
+def test_batch_takes_the_stencil_exactly_below_the_odometer_bound(g, reach):
+    # the stencil serves a lattice block while total * reach < 2**62, with
+    # reach = (min(rows, cols) + 1) // 2; the fifo worklist past that
+    site = g.n_ordinary // 2
+    below = 2**62 // reach - 1
+    stencil = {"lattice_stencil": 1, "worklist": 0}
+    assert _path_counts(g, point_config(g, site, below)) == stencil
+    assert _path_counts(g, point_config(g, site, below + 1)) == {
+        "lattice_stencil": 0, "worklist": 1}
 
-    def spy(*args):
-        calls.append(args[2:])
-        return worklist(*args)
 
-    def lowered(*args):
-        monkeypatch.setattr(engine_mod, "_INT64_SAFE_TOTAL", 100)
-        return lattice(*args)
-
-    monkeypatch.setattr(engine_mod, "_stabilize_worklist", spy)
-    monkeypatch.setattr(engine_mod, "_stabilize_lattice", lowered)
-    before = engine_stats()
-    res = stabilize(g, c)
-    after = engine_stats()
-    assert calls == [("fifo", None)]
-    assert (res.stable, res.score) == tuple(a.tolist() for a in want)
-    assert after["worklist"] == before["worklist"] + 1
-    assert after["lattice_stencil"] == before["lattice_stencil"]
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 10),
+    cols=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    site=st.floats(0, 1, exclude_max=True),
+    bits=st.integers(0, 62),
+)
+@example(rows=9, cols=9, seed=0, site=0.5, bits=60)
+@example(rows=1, cols=10, seed=1, site=0.0, bits=62)
+@example(rows=3, cols=7, seed=2, site=0.5, bits=61)
+def test_stencil_scores_stay_within_the_odometer_bound(rows, cols, seed, site, bits):
+    g = strip_sandpile(rows, cols)
+    reach = (min(rows, cols) + 1) // 2
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 8, size=g.n_ordinary)
+    room = (2**62 - 1) // reach - int(c.sum())
+    c[int(site * g.n_ordinary)] += min(room, int(rng.integers(2**bits)))
+    total = int(c.sum())
+    assert total * reach < 2**62
+    stencil, fifo = _kernel_outcomes(g, c)
+    assert stencil == fifo
+    assert max(stencil[1]) <= total * reach

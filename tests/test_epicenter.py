@@ -129,6 +129,26 @@ def test_drift_needs_budget():
         classify_path(g, ring, l=0.0)
 
 
+def test_splits_come_before_drift():
+    # eta 1, 2, 1 is linear and flat, but its interior maximum splits it
+    g = grid_sandpile(5)
+    path = [g.vertex_at(x, 2) for x in (1, 2, 3)]
+    for l in (0.0, 5.0):
+        phases = [seg.phase for seg in classify_path(g, path, l=l).segments]
+        assert phases == ["expansion", "contraction"]
+
+
+@pytest.mark.parametrize("p, q", [
+    ((7, 8), (6, 6)), ((7, 8), (13, 12)), ((7, 8), (10, 2)), ((9, 7), (7, 8)),
+])
+def test_grid_paths_with_a_flat_stretch_take_a_drift(p, q):
+    # refused while grid paths were classified with l = 0
+    g = grid_sandpile(16)
+    path = find_central_path_grid(g, g.vertex_at(*p), g.vertex_at(*q))
+    assert path.drift_len == BoundParams.grid_defaults().drift_len
+    assert "drift" in [seg.phase for seg in path.segments]
+
+
 def test_eta_ratio_window_along_segments():
     g = grid_sandpile(17)
     p = find_central_path_grid(g, g.vertex_at(1, 1), g.vertex_at(15, 15))
@@ -147,8 +167,9 @@ def test_grid_default_constant():
 
 def test_tcl_bound_frozen():
     bp = BoundParams.grid_defaults()
-    want_exp = 2 + 2 * math.log(1440, 1.5)
-    assert abs(want_exp - 37.871882670752605) < 1e-9
+    assert bp.drift_len == 0.5
+    want_exp = 2 + 4 * math.log(1440, 1.5)
+    assert abs(want_exp - 73.74376534150521) < 1e-9
     got = tcl_bound(bp, 33)
     assert abs(got / (2 * 4 * 33**want_exp) - 1) < 1e-9
 
