@@ -11,13 +11,15 @@ semantics knobs.
 
 Two kernels stabilize.  On a lattice block (a grid, line or strip, or any
 graph whose arrays are exactly those ``graph_core`` builds for one, such as
-a ``sandlab gen grid`` file loaded back) the default "batch" policy fires
-every unstable vertex its full quota each round, in int64, by a shift
-stencil over the rows that can hold unstable sites, when the odometer
-bound of ``_stabilize_lattice`` proves that int64 holds the run.  Every
-other run takes an exact worklist in Python ints: the named policy, or fifo
-for a batch run off lattice blocks or past that bound.  ``engine_stats``
-counts stabilizations by the kernel that produced them.
+a ``sandlab gen grid`` file loaded back) the default "batch" policy runs a
+red-black shift stencil: the two colours of the bipartite block take turns,
+and each half-step fires every unstable vertex of one colour its full
+quota, over the rows that can hold unstable sites.  It runs in int32 or
+int64, as the odometer bound of ``_stabilize_lattice`` allows, and only
+when that bound proves that int64 holds the run.  Every other run takes an
+exact worklist in Python ints: the named policy, or fifo for a batch run
+off lattice blocks or past that bound.  ``engine_stats`` counts
+stabilizations by the kernel that produced them.
 
 Every stabilization is closed out by one exact integer audit,
 ``_balance_check``, of
@@ -172,16 +174,17 @@ class TclResult:
 
 def normalize_config(g: SandpileGraph, counts) -> np.ndarray:
     """Coerce a sequence, {vertex: count} mapping or array to a ``_counts``
-    array.  A one-dimensional int64 array is taken as it is."""
+    array, each entry as ``int()`` reads it.  A one-dimensional int64 array
+    is taken as it is."""
     if isinstance(counts, dict):
         values = [0] * g.n_ordinary
         for v, c in counts.items():
             g.check_ordinary(int(v), "configuration site")
             values[int(v)] = int(c)
-    elif isinstance(counts, np.ndarray) and counts.dtype == np.int64 and counts.ndim == 1:
-        values = counts
-    else:
-        values = list(map(int, counts))
+    elif isinstance(counts, np.ndarray) and not (counts.dtype == np.int64 and counts.ndim == 1):
+        values = counts.tolist()
+    else:  # an iterator, which has no length, is read into a list first
+        values = counts if hasattr(counts, "__len__") else list(counts)
     if len(values) != g.n_ordinary:
         raise PreconditionError(
             f"configuration has {len(values)} entries, expected {g.n_ordinary}"
@@ -224,18 +227,18 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     """Stabilize ``counts`` on ``g`` and return a ``StabilizationResult``.
 
     ``policy`` picks the internal toppling order: "batch" (default) fires
-    every unstable vertex its full quota per int64 stencil round on a
-    lattice block whose counts provably stay within int64, and runs "fifo"
-    on every other graph and input; "fifo"/"lifo" run an exact worklist,
-    and "random" pops the worklist in seeded random order.  The result is
-    policy independent; only performance differs.
+    every unstable vertex of one colour its full quota per red-black stencil
+    half-step on a lattice block whose counts provably stay within int64,
+    and runs "fifo" on every other graph and input; "fifo"/"lifo" run an
+    exact worklist, and "random" pops the worklist in seeded random order.
+    The result is policy independent; only performance differs.
     """
     c0 = normalize_config(g, counts)
     if policy not in ("batch", "fifo", "lifo", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    block = g._lattice and g._lattice[:2]
-    if policy == "batch" and block and _total(c0) * ((min(block) + 1) // 2) < _INT64_HEADROOM:
-        path, out = "lattice_stencil", _stabilize_lattice(g, c0)
+    total, lattice = _total(c0), g._lattice
+    if policy == "batch" and lattice is not None and total * lattice.reach < _INT64_HEADROOM:
+        path, out = "lattice_stencil", _stabilize_lattice(g, c0, total)
     else:
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
@@ -243,71 +246,89 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     return _audit(g, c0, *out)
 
 
-def _stabilize_lattice(g, c0):
-    """Batch rounds in int64 on a lattice block, by a shift stencil: every
-    unstable vertex fires its full quota ``c // degree`` each round.
-    Returns ``(stable, score)``.
+def _stabilize_lattice(g, c0, total):
+    """Red-black half-steps on a lattice block: each fires every unstable
+    vertex of one colour its full quota ``c // degree``, and the colours
+    take turns.  ``total`` is ``sum(c0)``.  Returns ``(stable, score)`` as
+    int64 arrays.
+
+    The order is legal: a half-step fires only vertices that hold at least
+    their degree, and a block is bipartite, so the vertices of one colour
+    send nothing to each other and may fire at once.  By the abelian
+    property (Dhar 1990) every legal order that ends stable gives the same
+    ``stable`` and ``score``.  A half-step leaves its colour stable, so the
+    run ends at the first half-step that fires nothing, bar the very first,
+    which may find only the other colour unstable.
 
     ``stabilize`` runs it only when ``total * reach < 2**62``, with
-    ``total = sum(c0)`` and ``reach = (min(rows, cols) + 1) // 2``, and then
-    no value of the run can overflow.  The score is the odometer
-    ``G (c0 - stable) <= G c0``, where ``G = L^-1`` is the Green's function
-    of the sink-reduced Laplacian, which is nonnegative.  By the maximum
-    principle ``G(v, w) <= G(w, w) = R_eff(w, sink)``, and by Rayleigh
-    monotonicity ``R_eff(w, sink) <= eta(w) + 1 <= reach``, the length of a
-    shortest path from w to the sink.  So every toppling count is at most
-    ``total * reach``, at the end and, as toppling counts only grow, at
-    every round.  The padded array conserves particles (the pad keeps what
-    the sink absorbs), so no cell ever holds more than ``total``.
+    ``reach = (min(rows, cols) + 1) // 2``, and then no value of the run
+    can overflow int64; it runs in int32 when ``total * reach < 2**31``.
+    The score is the odometer ``G (c0 - stable) <= G c0``, where ``G =
+    L^-1`` is the Green's function of the sink-reduced Laplacian, which is
+    nonnegative.  By the maximum principle ``G(v, w) <= G(w, w) = R_eff(w,
+    sink)``, and by Rayleigh monotonicity ``R_eff(w, sink) <= eta(w) + 1 <=
+    reach``, the length of a shortest path from w to the sink.  So every
+    toppling count is at most ``total * reach``, at the end and, as toppling
+    counts only grow, at every half-step.  No cell ever holds more than
+    ``total``: a real cell holds particles still in play, and a pad cell
+    holds at most what the sink has absorbed.
 
-    The counts live in a flat, padded row-major array: row x of the block
-    at ``(x + 1) * W + y`` with ``W = cols + 1``, so that the pad column
-    and the pad rows above and below stand for the sink.  Every degree is
-    4, so a round fires ``k = c >> 2`` (``>> 63`` on pad cells, which never
-    fire), keeps ``c & 3`` and adds ``k`` at the four shifts -1, +1, -W and
-    +W.  A round touches only the whole rows ``[lo, hi)`` that can hold
-    unstable sites: the range grows by one row a round, since a firing
-    reaches only the rows next to it, and every 8 rounds it shrinks back
-    to the rows that do.
+    The counts live in the colour-split buffer of ``g._lattice`` (see
+    ``graph_core._Lattice``).  A half-step on colour p computes ``k = c >>
+    shift`` over its half, adds k to the score, keeps ``c & 3`` and adds k
+    to the four runs of the other half that hold the neighbours.  It
+    touches only whole padded rows that can hold unstable cells.  The
+    cells a half-step finds unstable lie within one row of those that fired
+    in the half-step before, so the views are made once per block of 8
+    half-steps, over the rows that fired last widened by 8, and after each
+    block the range shrinks back to the rows that fired.
     """
-    rows, cols, shift = g._lattice
-    w = cols + 1
-    c0 = np.asarray(c0, dtype=np.int64)
-    over = c0 >= 4
-    if not np.count_nonzero(over):
+    over = np.flatnonzero(c0 >= 4)
+    if not over.size:
         return c0.copy(), np.zeros(len(c0), dtype=np.int64)
-    unstable = np.flatnonzero(over)
-    first, last = int(unstable[0]), int(unstable[-1])
-    c = np.zeros(len(shift), dtype=np.int64)
-    z = np.zeros(len(shift), dtype=np.int64)
-    c.reshape(rows + 2, w)[1:-1, :cols] = c0.reshape(rows, cols)
-    lo, hi = (first // cols + 1) * w, (last // cols + 2) * w
-    end = (rows + 1) * w
-    k = c[lo:hi] >> shift[lo:hi]
-    rounds = 0
+    rows, cols, reach, width, half, perm, shifts = g._lattice
+    dtype = np.int32 if total * reach < 1 << 31 else np.int64
+    shift = shifts[dtype]
+    c = np.zeros(2 * half, dtype=dtype)
+    z = np.zeros(2 * half, dtype=dtype)
+    k = np.empty(half, dtype=dtype)
+    c[perm] = c0
+    first, last = int(over[0]) // cols + 1, int(over[-1]) // cols + 1  # padded rows
+    steps = 0
     while True:
-        z[lo:hi] += k
-        c[lo:hi] &= 3
-        c[lo - 1:hi - 1] += k
-        c[lo + 1:hi + 1] += k
-        c[lo - w:hi - w] += k
-        c[lo + w:hi + w] += k
-        rounds += 1
-        lo, hi = max(lo - w, w), min(hi + w, end)
-        k = c[lo:hi] >> shift[lo:hi]
-        if rounds % 8:
-            if not np.count_nonzero(k):
-                break
-            continue
-        if rounds > 50_000_000:
+        lo, hi = max(first - 8, 1) * width, min(last + 9, rows + 1) * width
+        block = []
+        for q in (0, 1):
+            # colour q's cells of rows [lo, hi) lie at [a, b) of its half;
+            # the runs of their west and north neighbours start at west and
+            # north of the other half, east and south one cell and one row on
+            a, b = (lo - q + 1) // 2, (hi - q + 1) // 2
+            i, j = q * half + a, q * half + b
+            west = (1 - q) * half + a + q - 1
+            north = west + 1 - (width + 1) // 2
+            size = b - a
+            block.append((a, c[i:j], z[i:j], shift[i:j], k[:size],
+                          c[west:west + size], c[west + 1:west + 1 + size],
+                          c[north:north + size], c[north + width:north + width + size]))
+        for _ in range(8):
+            q = steps % 2
+            a, cv, zv, sv, kv, n1, n2, n3, n4 = block[q]
+            np.right_shift(cv, sv, out=kv)
+            steps += 1
+            if np.count_nonzero(kv):
+                zv += kv
+                cv &= 3
+                n1 += kv
+                n2 += kv
+                n3 += kv
+                n4 += kv
+            elif steps > 1:
+                return tuple(x[perm].astype(np.int64, copy=False) for x in (c, z))
+        if steps > 100_000_000:
             raise InternalError("batch stabilization failed to converge")
-        fire = np.flatnonzero(k)
-        if not fire.size:
-            break
-        first, last = (lo + int(fire[0])) // w * w, ((lo + int(fire[-1])) // w + 1) * w
-        k = k[first - lo:last - lo]
-        lo, hi = first, last
-    return tuple(a.reshape(rows + 2, w)[1:-1, :cols].ravel() for a in (c, z))
+        fire = np.flatnonzero(kv)  # the last half-step fired, on colour q
+        first = (2 * (a + int(fire[0])) + q) // width
+        last = (2 * (a + int(fire[-1])) + q) // width
 
 
 def _stabilize_worklist(g, c0, policy, seed):
@@ -494,12 +515,13 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
 def _counts(values):
     """Nonnegative counts as an exact array: int64 while every entry is
     below 2**62, so that adding two such arrays cannot wrap, else Python
-    ints (object dtype)."""
+    ints (object dtype).  A sequence is read as ``int()`` reads each entry;
+    an array is taken as it is."""
     if not isinstance(values, np.ndarray):
         try:
             values = np.fromiter(values, np.int64, len(values))
         except OverflowError:
-            return np.array(values, dtype=object)
+            return np.array([int(v) for v in values], dtype=object)
     if values.dtype != object and values.max(initial=0) >= _INT64_HEADROOM:
         return values.astype(object)
     return values

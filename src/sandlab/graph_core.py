@@ -27,6 +27,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,50 @@ class Multigraph:
         self.coords = dict(coords) if coords else None
 
 
+class _Lattice(NamedTuple):
+    """The colour-split layout of a rows x cols lattice block.
+
+    Row x of the block sits at padded row x + 1 of stride ``width = cols +
+    1 + cols % 2``, cell (x, y) at flat index ``f = (x + 1) * width + y``;
+    the pad columns ``y >= cols`` and the pad rows 0 and rows + 1 stand for
+    the sink.  The stride is odd, so a cell's colour in the bipartite
+    lattice is ``f % 2``, and its four neighbours f -+ 1 and f -+ width
+    have the other colour.  One buffer of ``2 * half`` cells holds colour 0
+    at ``f // 2`` and colour 1 at ``half + f // 2``, and ``perm`` maps each
+    vertex to its buffer position.  In the colour-p half, the cell at index
+    i has its neighbours at i + p - 1, i + p, i + p - (width + 1) // 2 and
+    i + p + (width - 1) // 2 of the other half, so a run of cells of one
+    colour meets its neighbours in four contiguous runs.
+
+    ``shift`` maps int32 and int64 to the right shift that gives each
+    buffer cell's firing count in that dtype: 2 on the rows x cols real
+    cells (every degree is 4), and on pad cells one less than the dtype's
+    bits, so that they never fire.  ``reach = (min(rows, cols) + 1) // 2``
+    bounds the effective resistance from any cell to the sink.
+    """
+
+    rows: int
+    cols: int
+    reach: int
+    width: int
+    half: int
+    perm: np.ndarray
+    shift: dict
+
+    @classmethod
+    def of(cls, rows, cols):
+        width = cols + 1 + cols % 2
+        half = ((rows + 2) * width + 1) // 2
+        x, y = np.divmod(np.arange(rows * cols), cols)
+        flat = (x + 1) * width + y
+        perm = (flat & 1) * half + (flat >> 1)
+        shift = {}
+        for dtype in (np.int32, np.int64):
+            shift[dtype] = np.full(2 * half, np.iinfo(dtype).bits - 1, dtype=dtype)
+            shift[dtype][perm] = 2
+        return cls(rows, cols, (min(rows, cols) + 1) // 2, width, half, perm, shift)
+
+
 class SandpileGraph:
     """A multigraph with a distinguished sink, relabeled sink-last.
 
@@ -145,11 +190,9 @@ class SandpileGraph:
         stabilization audit reads.
 
         ``block`` is ``(rows, cols)`` when the arrays are exactly those of
-        ``_block_sandpile(rows, cols)``; the engine then stabilizes with a
-        shift stencil on a padded row-major array (``_lattice``: the shape
-        and, per padded cell, the right shift that gives its firing count:
-        2 on the rows x cols real cells, 63 on the pad column and the pad
-        rows above and below, which stand for the sink and never fire).
+        ``_block_sandpile(rows, cols)``; ``_lattice`` then holds the
+        colour-split layout on which the engine's red-black stencil runs
+        (see ``_Lattice``), else None.
         """
         self.n_ordinary = self.sink = len(degree)
         self.indptr, self.indices, self.mult = adjacency
@@ -157,12 +200,7 @@ class SandpileGraph:
         self.sink_mult = sink_mult
         self._boundary = np.flatnonzero(sink_mult)
         self._max_degree = int(degree.max())
-        self._lattice = None
-        if block is not None:
-            rows, cols = block
-            shift = np.full((rows + 2, cols + 1), 63, dtype=np.int64)
-            shift[1:-1, :cols] = 2
-            self._lattice = (rows, cols, shift.ravel())
+        self._lattice = None if block is None else _Lattice.of(*block)
         self._eta = None
         self.coords = coords
         self.coord_index = None

@@ -60,7 +60,7 @@ def test_stabilize_takes_lists_mappings_and_arrays():
     c = [(7 * v) % 11 for v in range(g.n_ordinary)]
     want = stabilize(g, c)
     given = np.array(c, dtype=np.int64)
-    for counts in ({v: x for v, x in enumerate(c)}, given):
+    for counts in ({v: x for v, x in enumerate(c)}, given, iter(c), (x for x in c)):
         assert stabilize(g, counts) == want
     assert given.tolist() == c  # an array is read, never written
     line = line_sandpile(6)
@@ -80,6 +80,23 @@ def test_stabilize_takes_lists_mappings_and_arrays():
 def test_array_configs_are_checked(grid2, counts, said):
     with pytest.raises(PreconditionError, match=said):
         stabilize(grid2, counts)
+
+
+@pytest.mark.parametrize("entry", [
+    3, True, 2.7, 0.5, "5", " 7 ", np.int32(4), np.uint64(9), np.float64(3.9), 2**63, 1e30,
+    None, float("nan"), float("inf"), 1j, "2.5",
+])
+def test_config_entries_read_as_int_reads_them(entry):
+    g = line_sandpile(2)
+    try:
+        want = [int(entry), 1]
+    except (TypeError, ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            engine_mod.normalize_config(g, [entry, 1])
+        return
+    got = engine_mod.normalize_config(g, [entry, 1])
+    assert got.tolist() == want
+    assert all(type(x) is int for x in got.tolist())
 
 
 def test_config_length_checked(grid2):
@@ -593,19 +610,19 @@ def test_line_growth_doubles():
 # -- large counts -----------------------------------------------------------
 
 
-def test_bigint_path_matches_int64():
-    # the exact-integer path for large totals is the fifo worklist
+def test_stencil_matches_fifo_in_both_dtypes():
+    # the stencil runs in int32 while total * reach < 2**31, else in int64;
+    # reach is 2 on grid 3, so 10**6 at the centre runs in int32, 2**40 in int64
     g = grid_sandpile(3)
-    c = [10**6 if v == 4 else 0 for v in range(9)]
-    fast = engine_mod._stabilize_lattice(g, c)
-    slow = engine_mod._stabilize_worklist(g, c, "fifo", None)
-    assert [a.tolist() for a in fast] == [a.tolist() for a in slow]
+    assert 10**6 * 2 < 2**31 <= 2**40 * 2
+    for drop in (10**6, 2**40):
+        stencil, fifo = _kernel_outcomes(g, np.array(point_config(g, 4, drop)))
+        assert stencil == fifo
 
 
-def test_int64_overflow_fallback_uses_fifo_worklist(monkeypatch):
+def test_batch_runs_off_lattice_blocks_take_fifo(monkeypatch):
     # a path hanging off the sink: the far end topples ~10x its particles.
-    # Off lattice blocks, a batch run goes to the fifo worklist, the path
-    # that also takes lattice runs past int64 safety.
+    # Off lattice blocks, a batch run goes to the fifo worklist.
     g = SandpileGraph(Multigraph(11, [(i, i + 1, 1) for i in range(10)]), 10)
     c = [1000] + [0] * 9
     want = engine_mod._stabilize_worklist(g, c, "fifo", None)
@@ -644,9 +661,9 @@ def test_stats_move_with_stabilizations(grid2):
 
 def _kernel_outcomes(g, c):
     """(stable, score) as lists from the stencil and the fifo worklist, in
-    that order."""
+    that order, for an int64 array ``c``."""
     runs = (
-        engine_mod._stabilize_lattice(g, c),
+        engine_mod._stabilize_lattice(g, c, int(c.sum())),
         engine_mod._stabilize_worklist(g, c, "fifo", None),
     )
     assert all(a.dtype == np.int64 for run in runs for a in run)
@@ -666,6 +683,11 @@ def _kernel_outcomes(g, c):
 @example(rows=1, cols=12, seed=1, top=4, site=0.5, drop=2000)
 @example(rows=12, cols=1, seed=2, top=4, site=0.0, drop=2000)
 @example(rows=12, cols=12, seed=3, top=12, site=0.5, drop=3000)
+# odd and even cols: one pad column, or two
+@example(rows=7, cols=5, seed=4, top=6, site=0.5, drop=3000)
+@example(rows=6, cols=8, seed=5, top=6, site=0.3, drop=3000)
+@example(rows=2, cols=3, seed=6, top=4, site=0.9, drop=500)
+@example(rows=3, cols=2, seed=7, top=4, site=0.1, drop=500)
 def test_lattice_stencil_matches_fifo(rows, cols, seed, top, site, drop):
     g = strip_sandpile(rows, cols)
     assert g._lattice is not None
@@ -754,6 +776,30 @@ def test_batch_takes_the_stencil_exactly_below_the_odometer_bound(g, reach):
     assert _path_counts(g, point_config(g, site, below)) == stencil
     assert _path_counts(g, point_config(g, site, below + 1)) == {
         "lattice_stencil": 0, "worklist": 1}
+
+
+@pytest.mark.parametrize("rows, cols", [(40, 1), (30, 2), (17, 17)])
+def test_stencil_keeps_up_with_a_wave_of_one_row_a_half_step(rows, cols):
+    # one particle on the maximal stable configuration sets off a wave that
+    # crosses a row every half-step, the fastest that firings can spread
+    g = strip_sandpile(rows, cols)
+    for site in (0, g.n_ordinary // 2, g.n_ordinary - 1):
+        c = np.full(g.n_ordinary, 3)
+        c[site] += 1
+        stencil, fifo = _kernel_outcomes(g, c)
+        assert stencil == fifo
+        assert min(stencil[1]) >= 1
+
+
+@pytest.mark.parametrize("total", [2**31 - 1, 2**31], ids=["int32", "int64"])
+def test_stencil_at_the_int32_bound_matches_fifo(total):
+    # reach is 1 on a 1 x 5 strip, so total * reach = total: the stencil
+    # runs in int32 below 2**31 and in int64 from there; both return int64
+    g = strip_sandpile(1, 5)
+    c = np.array([0, 1, total - 3, 2, 0])
+    stencil, fifo = _kernel_outcomes(g, c)
+    assert stencil == fifo
+    assert sum(stencil[0]) < total
 
 
 @settings(max_examples=60, deadline=None)
