@@ -45,8 +45,9 @@ addition chain over them in topological order.
 
 Counts pass between the kernels, the audit and the threshold searches as
 ``_counts`` arrays: int64 while every entry is below 2**62, Python ints in
-an object array past that.  A ``StabilizationResult`` exposes Python lists,
-made once when it is built.
+an object array past that.  A ``StabilizationResult`` keeps those arrays
+and exposes Python lists, each made the first time it is read; the engine
+itself reads only the arrays.
 """
 
 from __future__ import annotations
@@ -111,6 +112,33 @@ def engine_stats() -> dict:
     return dict(_STATS)
 
 
+class _ListField:
+    """A list field of ``StabilizationResult`` kept as a ``_counts`` array.
+
+    Set to an array, the field keeps it as ``_<name>`` and reads as its
+    list, made the first time it is read.  Set to a list, it reads as that
+    list, and ``_<name>`` is the list as a ``_counts`` array.  The engine
+    reads the arrays, so a result that no caller lists costs no list.
+    """
+
+    def __init__(self, name):
+        self.name, self.array = name, "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        values = obj.__dict__[self.name]
+        if values is None:
+            values = obj.__dict__[self.name] = obj.__dict__[self.array].tolist()
+        return values
+
+    def __set__(self, obj, values):
+        if isinstance(values, np.ndarray):
+            obj.__dict__[self.name], obj.__dict__[self.array] = None, values
+        else:
+            obj.__dict__[self.name], obj.__dict__[self.array] = values, _counts(values)
+
+
 @dataclass
 class StabilizationResult:
     """Outcome of one stabilization.
@@ -125,13 +153,9 @@ class StabilizationResult:
     sink_absorbed: int
     topplings_total: int
     received: list[int] = field(repr=False, default_factory=list)
-    # stable, score and received as the ``_counts`` arrays they were made
-    # from, so that threshold searches compose their states without
-    # converting the lists back
-    _arrays: tuple = field(repr=False, compare=False, default=None)
 
     def flooded(self, vertices) -> bool:
-        return all(self.received[v] > 0 for v in vertices)
+        return bool((self._received[list(vertices)] > 0).all())
 
     def to_json(self) -> dict:
         return {
@@ -140,6 +164,13 @@ class StabilizationResult:
             "topplings_total": int(self.topplings_total),
             "sink_absorbed": int(self.sink_absorbed),
         }
+
+
+# set after the decorator has read the fields, which would take a descriptor
+# in the class body for the field's default value
+StabilizationResult.stable = _ListField("stable")
+StabilizationResult.score = _ListField("score")
+StabilizationResult.received = _ListField("received")
 
 
 @dataclass(frozen=True)
@@ -281,22 +312,39 @@ def _stabilize_lattice(g, c0, total):
     cells a half-step finds unstable lie within one row of those that fired
     in the half-step before, so the views are made once per block of 8
     half-steps, over the rows that fired last widened by 8, and after each
-    block the range shrinks back to the rows that fired.
+    block the range shrinks back to the rows that fired.  ``& 3`` takes a
+    0-d array of the buffer's dtype: a Python int costs a scalar
+    conversion on every call, up to twice an add on a short run.
+
+    The call pays for the rows its half-steps reach, not for the block: a
+    row of ``c0`` enters the buffer just before a block first reads it or
+    adds to it, and only those rows are gathered back.  Every other row
+    keeps ``c0`` and a score of 0, as nothing reached it.
     """
+    stable, score = c0.copy(), np.zeros(len(c0), dtype=np.int64)
     over = np.flatnonzero(c0 >= 4)
     if not over.size:
-        return c0.copy(), np.zeros(len(c0), dtype=np.int64)
+        return stable, score
     rows, cols, reach, width, half, perm, shifts = g._lattice
     dtype = np.int32 if total * reach < 1 << 31 else np.int64
-    shift = shifts[dtype]
+    shift, three = shifts[dtype], np.array(3, dtype=dtype)
     c = np.zeros(2 * half, dtype=dtype)
     z = np.zeros(2 * half, dtype=dtype)
     k = np.empty(half, dtype=dtype)
-    c[perm] = c0
     first, last = int(over[0]) // cols + 1, int(over[-1]) // cols + 1  # padded rows
+    # c holds rows [top, bottom) of c0: none yet, an empty range at the
+    # first row that the first views reach
+    top = bottom = max(first - 10, 0)
     steps = 0
     while True:
-        lo, hi = max(first - 8, 1) * width, min(last + 9, rows + 1) * width
+        lo, hi = max(first - 8, 1), min(last + 9, rows + 1)
+        # the half-steps read padded rows [lo, hi) and add to one row on
+        # either side, which hold rows [lo - 2, hi) of c0: load what c lacks
+        for a, b in ((max(lo - 2, 0), top), (bottom, min(hi, rows))):
+            if a < b:
+                c[perm[a * cols:b * cols]] = c0[a * cols:b * cols]
+        top, bottom = min(top, max(lo - 2, 0)), max(bottom, min(hi, rows))
+        lo, hi = lo * width, hi * width
         block = []
         for q in (0, 1):
             # colour q's cells of rows [lo, hi) lie at [a, b) of its half;
@@ -310,25 +358,26 @@ def _stabilize_lattice(g, c0, total):
             block.append((a, c[i:j], z[i:j], shift[i:j], k[:size],
                           c[west:west + size], c[west + 1:west + 1 + size],
                           c[north:north + size], c[north + width:north + width + size]))
-        for _ in range(8):
-            q = steps % 2
-            a, cv, zv, sv, kv, n1, n2, n3, n4 = block[q]
-            np.right_shift(cv, sv, out=kv)
+        for a, cv, zv, sv, kv, n1, n2, n3, n4 in block * 4:  # colours 0, 1, 0, ...
+            np.right_shift(cv, sv, kv)
             steps += 1
             if np.count_nonzero(kv):
                 zv += kv
-                cv &= 3
+                cv &= three
                 n1 += kv
                 n2 += kv
                 n3 += kv
                 n4 += kv
             elif steps > 1:
-                return tuple(x[perm].astype(np.int64, copy=False) for x in (c, z))
+                touched = perm[top * cols:bottom * cols]
+                stable[top * cols:bottom * cols] = c[touched]
+                score[top * cols:bottom * cols] = z[touched]
+                return stable, score
         if steps > 100_000_000:
             raise InternalError("batch stabilization failed to converge")
-        fire = np.flatnonzero(kv)  # the last half-step fired, on colour q
-        first = (2 * (a + int(fire[0])) + q) // width
-        last = (2 * (a + int(fire[-1])) + q) // width
+        fire = np.flatnonzero(kv)  # the last half-step fired, on colour 1
+        first = (2 * (a + int(fire[0])) + 1) // width
+        last = (2 * (a + int(fire[-1])) + 1) // width
 
 
 def _stabilize_worklist(g, c0, policy, seed):
@@ -380,15 +429,8 @@ def _audit(g, c0, stable, score):
 
 
 def _result(stable, score, received, absorbed):
-    """A ``StabilizationResult`` of ``_counts`` arrays, its lists made once."""
-    return StabilizationResult(
-        stable=stable.tolist(),
-        score=score.tolist(),
-        sink_absorbed=absorbed,
-        topplings_total=_total(score),
-        received=received.tolist(),
-        _arrays=(stable, score, received),
-    )
+    """A ``StabilizationResult`` of ``_counts`` arrays, listed on first read."""
+    return StabilizationResult(stable, score, absorbed, _total(score), received)
 
 
 def _balance_check(g, c0, stable, score):
@@ -402,29 +444,59 @@ def _balance_check(g, c0, stable, score):
     ``_counts`` array, and the particles absorbed by the sink as an int.
     The three vectors may be sequences or arrays.
 
-    Every check runs in one dtype, int64 when the inputs prove that nothing
-    can overflow: with m ordinary vertices, every per-vertex term and every
-    sum it forms is bounded in magnitude by
+    Every check runs in one dtype.  It is int64 when the three vectors are
+    int64 and, with m ordinary vertices and the entries of ``c0`` and
+    ``score`` read as unsigned,
 
-        max(score) * 2 * max(degree) + m * max|c0|  <  2**62
+        max(score) * 2 * max(degree) + m * max(c0)  <  2**62
 
-    A score with a negative entry is rejected whatever wraps, so only its
-    largest entry counts.  ``sum(sink_mult * score)`` may wrap, but int64
-    addition is exact modulo 2**64, and once the identity and the ranges
-    hold it equals ``sum(c0 - stable)``, the particles that reached the
-    sink, which lies in [0, sum(c0)].  Inputs past the bound, such as the
-    line family's counts, run on object arrays of Python ints.
+    Read as unsigned, a negative entry is at least 2**63, so the one pass
+    that takes each maximum also checks ``score >= 0``: a negative score,
+    or a negative initial count, takes the Python-int path, which rejects
+    the one and reads the other exactly.  Under the bound every entry of
+    ``received`` and of ``degree * score`` lies in [0, 2**62).  Inputs past
+    it, such as the line family's counts, run each check on object arrays
+    of Python ints.
+
+    In int64 the checks take a few fused passes:
+
+    - balance: ``degree * score - received + stable`` is zero.  Its first
+      two terms differ by less than 2**62, so its true value lies within
+      2**63 + 2**62 of 0 whatever ``stable`` holds, and int64 addition is
+      exact modulo 2**64: the computed sum is zero exactly when the true
+      one is, also where adding ``stable`` wraps.
+    - range: ``stable`` read as unsigned is below ``degree``, which is
+      ``0 <= stable < degree`` in one compare, as every degree is below
+      2**63.
+    - conservation: ``sum(c0) - sum(stable)`` equals ``np.dot(sink_mult,
+      score)``.  Once the balance and the range hold, ``sum(stable) =
+      sum(c0) - sum(sink_mult * score)`` lies in [0, sum(c0)], so the left
+      side is exact, and the dot, which may wrap, is exact modulo 2**64: the
+      two agree exactly when the true sums do, and ``absorbed`` is exact.
     """
     c, s, z = (x if isinstance(x, np.ndarray) else _counts(x) for x in (c0, stable, score))
     m = g.n_ordinary
     if not len(c) == len(s) == len(z) == m:
         return None
     deg, mult = g.degree, g.sink_mult
-    if object in (c.dtype, s.dtype, z.dtype) or (
-        int(z.max()) * 2 * g._max_degree + m * max(int(c.max()), -int(c.min()))
-        >= _INT64_HEADROOM
+    if c.dtype == s.dtype == z.dtype == np.int64 and (
+        int(z.view(np.uint64).max()) * 2 * g._max_degree + m * int(c.view(np.uint64).max())
+        < _INT64_HEADROOM
     ):
-        c, s, z, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
+        received = g._inflow(z)
+        received += c
+        residual = deg * z
+        residual -= received
+        residual += s
+        absorbed = int(np.dot(mult, z))
+        if (
+            residual.any()
+            or not (s.view(np.uint64) < deg.view(np.uint64)).all()
+            or int(c.sum()) - int(s.sum()) != absorbed
+        ):
+            return None
+        return received, absorbed
+    c, s, z, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
     received = c + g._inflow(z)
     absorbed = int((mult * z).sum())
     if (
@@ -487,7 +559,7 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
     def probe(x):
         stable_lo, score_lo, received_lo, absorbed_lo = at_lo
         step = stabilize(g, stable_lo + _times(base, x - lo))
-        stable, score, received = step._arrays
+        stable, score, received = step._stable, step._score, step._received
         state = (
             stable,
             _counts(score_lo + score),
@@ -603,7 +675,7 @@ def is_recurrent(g: SandpileGraph, counts) -> bool:
     if unstable.size:
         raise PreconditionError(f"configuration not stable at vertex {unstable[0]}")
     res = stabilize(g, c + _counts(g.sink_mult))
-    return all(s == 1 for s in res.score) and np.array_equal(res.stable, c)
+    return bool((res._score == 1).all()) and np.array_equal(res._stable, c)
 
 
 def _check_state_space(g: SandpileGraph, state_limit: int) -> None:

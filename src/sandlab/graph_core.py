@@ -130,14 +130,15 @@ class _Lattice(NamedTuple):
     def of(cls, rows, cols):
         width = cols + 1 + cols % 2
         half = ((rows + 2) * width + 1) // 2
-        x, y = np.divmod(np.arange(rows * cols), cols)
-        flat = (x + 1) * width + y
+        flat = (np.arange(width, (rows + 1) * width, width)[:, None] + np.arange(cols)).ravel()
         perm = (flat & 1) * half + (flat >> 1)
-        shift = {}
-        for dtype in (np.int32, np.int64):
-            shift[dtype] = np.full(2 * half, np.iinfo(dtype).bits - 1, dtype=dtype)
-            shift[dtype][perm] = 2
-        return cls(rows, cols, (min(rows, cols) + 1) // 2, width, half, perm, shift)
+        # the colour-split order is the padded row-major order, transposed
+        # as ``half`` pairs of cells
+        shift = np.full(2 * half, 63, dtype=np.int64)
+        shift[:(rows + 2) * width].reshape(rows + 2, width)[1:-1, :cols] = 2
+        shift = shift.reshape(half, 2).T.ravel()
+        return cls(rows, cols, (min(rows, cols) + 1) // 2, width, half, perm,
+                   {np.int32: (shift & 31).astype(np.int32), np.int64: shift})
 
 
 class SandpileGraph:

@@ -552,9 +552,12 @@ def test_stabilize_survives_mutated_graph_files(grid2_path, fuzz_path, data):
 
 
 def test_module_entry_point():
+    # the child finds the sandlab under test, installed or not
+    src = os.path.dirname(os.path.dirname(sandlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sandlab.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "stabilize" in proc.stdout

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from sandlab import (
     PreconditionError,
     ResourceLimitError,
     SandpileGraph,
+    StabilizationResult,
     UniformThreshold,
     build_sandpile,
     engine_stats,
@@ -457,6 +461,44 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
     assert lo == answer - 1
 
 
+def test_results_list_their_arrays_on_first_read():
+    cases = [
+        (grid_sandpile(3), [5, 0, 1, 2, 7, 0, 3, 1, 4]),
+        (line_sandpile(3), [0, 3 << 70, 0]),
+    ]
+    pinned = [
+        '{"stable": [2, 3, 1, 2, 1, 3, 1, 1, 1], "score": [1, 0, 0, 1, 2, 0, 1, 1, 1], '
+        '"topplings_total": 7, "sink_absorbed": 8}',
+        '{"stable": [1, 2, 1], "score": [252983918725159565019, 1011935674900638260077, '
+        '252983918725159565019], "topplings_total": 1517903512350957390115, '
+        '"sink_absorbed": 3541774862152233910268}',
+    ]
+    for (g, c), text in zip(cases, pinned):
+        res = stabilize(g, c)
+        assert vars(res)["stable"] is None  # not listed until read
+        lists = [a.tolist() for a in (res._stable, res._score, res._received)]
+        eager = StabilizationResult(
+            lists[0], lists[1], res.sink_absorbed, res.topplings_total, lists[2])
+        assert res == eager
+        assert repr(res) == repr(eager)
+        assert [res.stable, res.score, res.received] == lists
+        assert all(type(x) is int for x in res.stable + res.score + res.received)
+        assert json.dumps(res.to_json()) == json.dumps(eager.to_json()) == text
+
+
+def test_replace_overrides_a_result_list():
+    g = grid_sandpile(3)
+    res = stabilize(g, [5, 0, 1, 2, 7, 0, 3, 1, 4])
+    forged = [0] * 9
+    bad = dataclasses.replace(res, stable=forged)
+    assert bad.stable is forged
+    assert bad._stable.tolist() == forged
+    assert (bad.score, bad.received) == (res.score, res.received)
+    assert bad != res
+    assert json.loads(json.dumps(bad.to_json()))["stable"] == forged
+    assert dataclasses.replace(res, received=[0] * 9).flooded([0]) is False
+
+
 def test_received_counts_placement(grid2):
     res = stabilize(grid2, point_config(grid2, 0, 1))
     assert res.received[0] == 1
@@ -521,6 +563,65 @@ def test_int64_audit_agrees_with_exact_audit(g):
     assert _both_checks(g, s0, s0, [0] * g.n_ordinary, 0) == s0
 
 
+def test_fused_int64_audit_rejects_forgeries_like_the_exact_audit():
+    g = grid_sandpile(5)
+    v = 12
+    # a negative stable entry that balances exactly: v topples once from 3
+    c, score = (np.array(point_config(g, v, k), dtype=np.int64) for k in (3, 1))
+    stable = c.copy()
+    stable[v] -= 4
+    for u, mult in g.ordinary_neighbors(v):
+        stable[u] += mult
+    assert stable[v] == -1 and (score >= 0).all()
+    assert _both_checks(g, c, stable, score, 0) is None
+
+    # a stable entry near 2**63, either way round: adding it to the residual
+    # may wrap, but never onto zero
+    c = np.full(25, 2, dtype=np.int64)
+    c[v] += 40
+    res = stabilize(g, c)
+    real = int(res.stable[v])
+    assert _both_checks(g, c, res._stable, res._score, res.sink_absorbed) == res.received
+    for forged in (2**63 - 1, 2**63 - 1 - real, -(2**63), -(2**63) + real):
+        stable = res._stable.copy()
+        stable[v] = forged
+        assert _both_checks(g, c, stable, res._score, res.sink_absorbed) is None
+
+
+def test_fused_int64_audit_checks_the_degree_of_each_vertex():
+    # off lattice blocks with mixed degrees: stable == degree at one vertex
+    g = SandpileGraph(
+        Multigraph(5, [(0, 1, 2), (1, 2, 1), (2, 4, 5), (0, 4, 1), (1, 3, 1), (3, 4, 2)]), 4)
+    assert g._lattice is None and g.degree.tolist() == [3, 4, 6, 3]
+    zero = np.zeros(4, dtype=np.int64)
+    below = np.array([2, 3, 5, 2], dtype=np.int64)
+    assert _both_checks(g, below, below, zero, 0) == below.tolist()
+    for v in range(4):
+        at = below.copy()
+        at[v] += 1
+        assert _both_checks(g, at, at, zero, 0) is None
+
+
+def test_fused_int64_audit_does_not_trust_a_wrapped_sink_sum():
+    # a score raised on the boundary so that sum(sink_mult * score) grows by
+    # exactly 2**64, inside the int64 bound: the wrapped sum still matches
+    # the particles lost, but the balance does not
+    g = grid_sandpile(9)
+    c = np.array(point_config(g, 40, 5), dtype=np.int64)
+    res = stabilize(g, c)
+    corner = g.sink_mult == 2
+    edge = g.sink_mult == 1
+    assert corner.sum() == 4 and edge.sum() == 28
+    forged = res._score.copy()
+    forged[corner] += 2**58 + 700
+    forged[edge] += 2**59 - 200
+    assert int(forged.max()) * 2 * 4 + g.n_ordinary * int(c.max()) < 2**62
+    assert sum(int(m) * int(z) for m, z in zip(g.sink_mult, forged)) == res.sink_absorbed + 2**64
+    assert int(np.dot(g.sink_mult, forged)) == res.sink_absorbed
+    assert _both_checks(g, c, res._stable, res._score, res.sink_absorbed) == res.received
+    assert _both_checks(g, c, res._stable, forged, res.sink_absorbed) is None
+
+
 def test_int64_audit_bound_edge_takes_exact_path():
     g = line_sandpile(2)
 
@@ -542,7 +643,7 @@ def test_int64_audit_bound_edge_takes_exact_path():
         c = [n, 0]
         res = stabilize(g, c)
         assert sum(res.stable) + res.sink_absorbed == n
-        assert res._arrays[2].dtype == dtype
+        assert res._received.dtype == dtype
         received, absorbed = engine_mod._balance_check(g, c, res.stable, res.score)
         assert received.dtype == dtype
         assert absorbed == res.sink_absorbed
@@ -698,6 +799,39 @@ def test_lattice_stencil_matches_fifo(rows, cols, seed, top, site, drop):
     # a drop above what the block can hold stable reaches the sink
     if drop >= 4 * g.n_ordinary:
         assert sum(stencil[0]) < int(c.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(
+        [(1, 9), (1, 10), (9, 1), (2, 9), (2, 10), (11, 11), (12, 12), (29, 3), (30, 4)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    full=st.booleans(),
+    cells=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    drops=st.tuples(st.integers(0, 400), st.integers(0, 400)),
+)
+# a few particles in the first or last row of a full tall strip: the
+# avalanche crosses a row every half-step, so it outgrows the rows of each
+# block of half-steps, 8 past the rows that fired, until it reaches the far row
+@example(shape=(30, 4), seed=0, full=True, cells=(0.5, 0.0), drops=(4, 0))
+@example(shape=(30, 4), seed=0, full=True, cells=(0.0, 0.5), drops=(0, 4))
+@example(shape=(29, 3), seed=1, full=False, cells=(0.0, 0.9), drops=(400, 400))
+@example(shape=(1, 10), seed=2, full=True, cells=(0.0, 0.9), drops=(4, 0))
+def test_stencil_matches_fifo_from_the_first_and_last_rows(shape, seed, full, cells, drops):
+    rows, cols = shape
+    g = strip_sandpile(rows, cols)
+    if full:
+        c = np.full(g.n_ordinary, 3)
+    else:
+        c = np.random.default_rng(seed).integers(0, 4, size=g.n_ordinary)
+    c[int(cells[0] * cols)] += drops[0]
+    c[(rows - 1) * cols + int(cells[1] * cols)] += drops[1]
+    stencil, fifo = _kernel_outcomes(g, c)
+    assert stencil == fifo
+    # a grain on the maximal stable configuration topples every vertex
+    if full and max(drops) > 0:
+        assert min(stencil[1]) >= 1
 
 
 def _path_counts(g, c):

@@ -23,7 +23,7 @@ from sandlab import (
     save_graph,
     strip_sandpile,
 )
-from sandlab.graph_core import _csr
+from sandlab.graph_core import _csr, _Lattice
 
 import oracles
 from test_engine import _swapped_grid5, _window_interior
@@ -244,6 +244,35 @@ def test_single_vertex_line_has_one_empty_row():
     assert g.indptr.tolist() == [0, 0]
     assert g.indices.size == g.mult.size == 0
     assert g.mult.dtype == np.int64
+
+
+def _divmod_layout(rows, cols):
+    """The colour-split layout computed cell by cell: ``perm`` and the
+    int32 and int64 shift arrays."""
+    width = cols + 1 + cols % 2
+    half = ((rows + 2) * width + 1) // 2
+    x, y = np.divmod(np.arange(rows * cols), cols)
+    flat = (x + 1) * width + y
+    perm = (flat & 1) * half + (flat >> 1)
+    shift = {}
+    for dtype in (np.int32, np.int64):
+        shift[dtype] = np.full(2 * half, np.iinfo(dtype).bits - 1, dtype=dtype)
+        shift[dtype][perm] = 2
+    return width, half, perm, shift
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 6), (1, 7), (6, 1), (7, 1), (2, 6), (2, 7), (5, 8), (8, 5),
+                   (101, 101)])
+def test_lattice_layout_matches_a_cell_by_cell_construction(rows, cols):
+    lattice = _Lattice.of(rows, cols)
+    width, half, perm, shift = _divmod_layout(rows, cols)
+    assert (lattice.width, lattice.half) == (width, half)
+    assert lattice.perm.dtype == perm.dtype and np.array_equal(lattice.perm, perm)
+    assert lattice.shift.keys() == shift.keys()
+    for dtype, want in shift.items():
+        assert lattice.shift[dtype].dtype == want.dtype
+        assert np.array_equal(lattice.shift[dtype], want)
 
 
 def _inflow_graphs():
