@@ -14,7 +14,9 @@ graph whose arrays are exactly those ``graph_core`` builds for one, such as
 a ``sandlab gen grid`` file loaded back) the default "batch" policy runs a
 red-black shift stencil: the two colours of the bipartite block take turns,
 and each half-step fires every unstable vertex of one colour its full
-quota, over the rows that can hold unstable sites.  It runs in int32 or
+quota, over the rows that can hold unstable sites.  Its colour-split
+layout is built on a block's first stencil run, dropped with the graph,
+and each run loads the whole block into it once.  It runs in int32 or
 int64, as the odometer bound of ``_stabilize_lattice`` allows, and only
 when that bound proves that int64 holds the run.  Every other run takes an
 exact worklist in Python ints: the named policy, or fifo for a batch run
@@ -57,8 +59,10 @@ import graphlib
 import itertools
 import math
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,14 +271,66 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
     c0 = normalize_config(g, counts)
     if policy not in ("batch", "fifo", "lifo", "random"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    total, lattice = _total(c0), g._lattice
-    if policy == "batch" and lattice is not None and total * lattice.reach < _INT64_HEADROOM:
+    total, block = _total(c0), g._block
+    reach = None if block is None else (min(block) + 1) // 2
+    if policy == "batch" and reach is not None and total * reach < _INT64_HEADROOM:
         path, out = "lattice_stencil", _stabilize_lattice(g, c0, total)
     else:
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
     _STATS[path] += 1
     return _audit(g, c0, *out)
+
+
+class _Lattice(NamedTuple):
+    """The colour-split layout of a rows x cols lattice block.
+
+    Row x of the block sits at padded row x + 1 of stride ``width = cols +
+    1 + cols % 2``, cell (x, y) at flat index ``f = (x + 1) * width + y``;
+    the pad columns ``y >= cols`` and the pad rows 0 and rows + 1 stand for
+    the sink.  The stride is odd, so a cell's colour in the bipartite
+    lattice is ``f % 2``, and its four neighbours f -+ 1 and f -+ width
+    have the other colour.  One buffer of ``2 * half`` cells holds colour 0
+    at ``f // 2`` and colour 1 at ``half + f // 2``, and ``perm`` maps each
+    vertex to its buffer position.  In the colour-p half, the cell at index
+    i has its neighbours at i + p - 1, i + p, i + p - (width + 1) // 2 and
+    i + p + (width - 1) // 2 of the other half, so a run of cells of one
+    colour meets its neighbours in four contiguous runs.
+
+    ``shift`` maps int32 and int64 to the right shift that gives each
+    buffer cell's firing count in that dtype: 2 on the rows x cols real
+    cells (every degree is 4), and on pad cells one less than the dtype's
+    bits, so that they never fire.
+    """
+
+    width: int
+    half: int
+    perm: np.ndarray
+    shift: dict
+
+    @classmethod
+    def of(cls, rows, cols):
+        width = cols + 1 + cols % 2
+        half = ((rows + 2) * width + 1) // 2
+        flat = (np.arange(width, (rows + 1) * width, width)[:, None] + np.arange(cols)).ravel()
+        perm = (flat & 1) * half + (flat >> 1)
+        # the colour-split order is the padded row-major order, transposed
+        # as ``half`` pairs of cells
+        shift = np.full(2 * half, 63, dtype=np.int64)
+        shift[:(rows + 2) * width].reshape(rows + 2, width)[1:-1, :cols] = 2
+        shift = shift.reshape(half, 2).T.ravel()
+        return cls(width, half, perm, {np.int32: (shift & 31).astype(np.int32), np.int64: shift})
+
+
+_LATTICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _lattice(g: SandpileGraph) -> _Lattice:
+    """The layout of the lattice block ``g``, built on its first stencil
+    run and dropped with the graph."""
+    if g not in _LATTICES:
+        _LATTICES[g] = _Lattice.of(*g._block)
+    return _LATTICES[g]
 
 
 def _stabilize_lattice(g, c0, total):
@@ -304,47 +360,39 @@ def _stabilize_lattice(g, c0, total):
     ``total``: a real cell holds particles still in play, and a pad cell
     holds at most what the sink has absorbed.
 
-    The counts live in the colour-split buffer of ``g._lattice`` (see
-    ``graph_core._Lattice``).  A half-step on colour p computes ``k = c >>
-    shift`` over its half, adds k to the score, keeps ``c & 3`` and adds k
-    to the four runs of the other half that hold the neighbours.  It
-    touches only whole padded rows that can hold unstable cells.  The
-    cells a half-step finds unstable lie within one row of those that fired
-    in the half-step before, so the views are made once per block of 8
-    half-steps, over the rows that fired last widened by 8, and after each
-    block the range shrinks back to the rows that fired.  ``& 3`` takes a
-    0-d array of the buffer's dtype: a Python int costs a scalar
-    conversion on every call, up to twice an add on a short run.
+    The counts live in the colour-split buffer of ``_lattice(g)`` (see
+    ``_Lattice``).  A half-step on colour p computes ``k = c >> shift`` over
+    its half, adds k to the score, keeps ``c & 3`` and adds k to the runs
+    of the other half that hold the neighbours: four, or on a one-row block
+    only the west and east runs, as its north and south runs lie wholly in
+    pad rows.  It touches only whole padded rows that can hold unstable
+    cells.  The cells a half-step finds unstable lie within one row of
+    those that fired in the half-step before, so the views are made once
+    per block of 8 half-steps, over the rows that fired last widened by 8,
+    and after each block the range shrinks back to the rows that fired.
+    ``& 3`` takes a 0-d array of the buffer's dtype: a Python int costs a
+    scalar conversion on every call, up to twice an add on a short run.
 
-    The call pays for the rows its half-steps reach, not for the block: a
-    row of ``c0`` enters the buffer just before a block first reads it or
-    adds to it, and only those rows are gathered back.  Every other row
-    keeps ``c0`` and a score of 0, as nothing reached it.
+    ``c0`` enters the buffer in one scatter, and ``stable`` and ``score``
+    leave it in one gather each.  Loading only the rows the half-steps
+    reach saves nothing on the benchmark batches: in a paired per-call
+    replay the whole block ran 0.97-1.01x the time of a row-by-row load.
     """
-    stable, score = c0.copy(), np.zeros(len(c0), dtype=np.int64)
     over = np.flatnonzero(c0 >= 4)
     if not over.size:
-        return stable, score
-    rows, cols, reach, width, half, perm, shifts = g._lattice
-    dtype = np.int32 if total * reach < 1 << 31 else np.int64
+        return c0.copy(), np.zeros(len(c0), dtype=np.int64)
+    rows, cols = g._block
+    width, half, perm, shifts = _lattice(g)
+    dtype = np.int32 if total * ((min(rows, cols) + 1) // 2) < 1 << 31 else np.int64
     shift, three = shifts[dtype], np.array(3, dtype=dtype)
     c = np.zeros(2 * half, dtype=dtype)
     z = np.zeros(2 * half, dtype=dtype)
     k = np.empty(half, dtype=dtype)
+    c[perm] = c0
     first, last = int(over[0]) // cols + 1, int(over[-1]) // cols + 1  # padded rows
-    # c holds rows [top, bottom) of c0: none yet, an empty range at the
-    # first row that the first views reach
-    top = bottom = max(first - 10, 0)
     steps = 0
     while True:
-        lo, hi = max(first - 8, 1), min(last + 9, rows + 1)
-        # the half-steps read padded rows [lo, hi) and add to one row on
-        # either side, which hold rows [lo - 2, hi) of c0: load what c lacks
-        for a, b in ((max(lo - 2, 0), top), (bottom, min(hi, rows))):
-            if a < b:
-                c[perm[a * cols:b * cols]] = c0[a * cols:b * cols]
-        top, bottom = min(top, max(lo - 2, 0)), max(bottom, min(hi, rows))
-        lo, hi = lo * width, hi * width
+        lo, hi = max(first - 8, 1) * width, min(last + 9, rows + 1) * width
         block = []
         for q in (0, 1):
             # colour q's cells of rows [lo, hi) lie at [a, b) of its half;
@@ -355,24 +403,20 @@ def _stabilize_lattice(g, c0, total):
             west = (1 - q) * half + a + q - 1
             north = west + 1 - (width + 1) // 2
             size = b - a
-            block.append((a, c[i:j], z[i:j], shift[i:j], k[:size],
-                          c[west:west + size], c[west + 1:west + 1 + size],
-                          c[north:north + size], c[north + width:north + width + size]))
-        for a, cv, zv, sv, kv, n1, n2, n3, n4 in block * 4:  # colours 0, 1, 0, ...
+            runs = (c[west:west + size], c[west + 1:west + 1 + size])
+            if rows > 1:
+                runs += (c[north:north + size], c[north + width:north + width + size])
+            block.append((a, c[i:j], z[i:j], shift[i:j], k[:size], runs))
+        for a, cv, zv, sv, kv, runs in block * 4:  # colours 0, 1, 0, ...
             np.right_shift(cv, sv, kv)
             steps += 1
             if np.count_nonzero(kv):
                 zv += kv
                 cv &= three
-                n1 += kv
-                n2 += kv
-                n3 += kv
-                n4 += kv
+                for run in runs:
+                    run += kv
             elif steps > 1:
-                touched = perm[top * cols:bottom * cols]
-                stable[top * cols:bottom * cols] = c[touched]
-                score[top * cols:bottom * cols] = z[touched]
-                return stable, score
+                return c[perm].astype(np.int64, copy=False), z[perm].astype(np.int64, copy=False)
         if steps > 100_000_000:
             raise InternalError("batch stabilization failed to converge")
         fire = np.flatnonzero(kv)  # the last half-step fired, on colour 1
@@ -545,7 +589,7 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
     """
     base = _counts(base)
     targets = np.asarray(targets, dtype=np.int64)
-    if g._lattice is None:
+    if g._block is None:
         dist = g.ordinary_distances(np.flatnonzero(base))
         unreached = targets[dist[targets] < 0]
         if unreached.size:

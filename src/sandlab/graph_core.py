@@ -12,7 +12,9 @@ each ordinary vertex.  The sorted edge tuple, neighbor lists, distances,
 balls and each vertex's inflow are all read from these arrays, and the
 lattice families build them by index arithmetic.  Only ``adjacency()`` and
 ``laplacian()`` build scipy matrices, on request, so that importing and
-using this module loads no scipy.
+using this module loads no scipy.  A graph whose arrays are exactly those
+of a rows x cols lattice block keeps only ``(rows, cols)``; the engine and
+the potential solver build what they run on a block from that shape.
 
 Distances and balls are measured in the sink-deleted subgraph: the sink is
 an absorbing boundary, not a thoroughfare.  ``metric_query`` additionally
@@ -27,7 +29,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,51 +97,6 @@ class Multigraph:
         self.coords = dict(coords) if coords else None
 
 
-class _Lattice(NamedTuple):
-    """The colour-split layout of a rows x cols lattice block.
-
-    Row x of the block sits at padded row x + 1 of stride ``width = cols +
-    1 + cols % 2``, cell (x, y) at flat index ``f = (x + 1) * width + y``;
-    the pad columns ``y >= cols`` and the pad rows 0 and rows + 1 stand for
-    the sink.  The stride is odd, so a cell's colour in the bipartite
-    lattice is ``f % 2``, and its four neighbours f -+ 1 and f -+ width
-    have the other colour.  One buffer of ``2 * half`` cells holds colour 0
-    at ``f // 2`` and colour 1 at ``half + f // 2``, and ``perm`` maps each
-    vertex to its buffer position.  In the colour-p half, the cell at index
-    i has its neighbours at i + p - 1, i + p, i + p - (width + 1) // 2 and
-    i + p + (width - 1) // 2 of the other half, so a run of cells of one
-    colour meets its neighbours in four contiguous runs.
-
-    ``shift`` maps int32 and int64 to the right shift that gives each
-    buffer cell's firing count in that dtype: 2 on the rows x cols real
-    cells (every degree is 4), and on pad cells one less than the dtype's
-    bits, so that they never fire.  ``reach = (min(rows, cols) + 1) // 2``
-    bounds the effective resistance from any cell to the sink.
-    """
-
-    rows: int
-    cols: int
-    reach: int
-    width: int
-    half: int
-    perm: np.ndarray
-    shift: dict
-
-    @classmethod
-    def of(cls, rows, cols):
-        width = cols + 1 + cols % 2
-        half = ((rows + 2) * width + 1) // 2
-        flat = (np.arange(width, (rows + 1) * width, width)[:, None] + np.arange(cols)).ravel()
-        perm = (flat & 1) * half + (flat >> 1)
-        # the colour-split order is the padded row-major order, transposed
-        # as ``half`` pairs of cells
-        shift = np.full(2 * half, 63, dtype=np.int64)
-        shift[:(rows + 2) * width].reshape(rows + 2, width)[1:-1, :cols] = 2
-        shift = shift.reshape(half, 2).T.ravel()
-        return cls(rows, cols, (min(rows, cols) + 1) // 2, width, half, perm,
-                   {np.int32: (shift & 31).astype(np.int32), np.int64: shift})
-
-
 class SandpileGraph:
     """A multigraph with a distinguished sink, relabeled sink-last.
 
@@ -191,9 +147,8 @@ class SandpileGraph:
         stabilization audit reads.
 
         ``block`` is ``(rows, cols)`` when the arrays are exactly those of
-        ``_block_sandpile(rows, cols)``; ``_lattice`` then holds the
-        colour-split layout on which the engine's red-black stencil runs
-        (see ``_Lattice``), else None.
+        ``_block_sandpile(rows, cols)``, else None; it is kept as
+        ``_block``, which the engine's stencil and the potential solver read.
         """
         self.n_ordinary = self.sink = len(degree)
         self.indptr, self.indices, self.mult = adjacency
@@ -201,7 +156,7 @@ class SandpileGraph:
         self.sink_mult = sink_mult
         self._boundary = np.flatnonzero(sink_mult)
         self._max_degree = int(degree.max())
-        self._lattice = None if block is None else _Lattice.of(*block)
+        self._block = block
         self._eta = None
         self.coords = coords
         self.coord_index = None
@@ -267,8 +222,8 @@ class SandpileGraph:
         A lattice block adds the four shifted slices of ``z`` as a
         zero-padded rows x cols array; any other graph sums each CSR row.
         """
-        if self._lattice is not None:
-            rows, cols = self._lattice[:2]
+        if self._block is not None:
+            rows, cols = self._block
             pad = np.zeros((rows + 2, cols + 2), dtype=z.dtype)
             pad[1:-1, 1:-1] = z.reshape(rows, cols)
             return (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]).ravel()

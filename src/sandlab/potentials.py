@@ -153,8 +153,8 @@ class _Solver:
     def __init__(self, g: SandpileGraph):
         self.degree = np.asarray(g.degree, dtype=float)
         self.lu = self.spectrum = None
-        if g._lattice is not None and g.n_ordinary > DIRECT_SOLVE_LIMIT:
-            rows, cols = g._lattice[:2]
+        if g._block is not None and g.n_ordinary > DIRECT_SOLVE_LIMIT:
+            rows, cols = g._block
             self.spectrum = (
                 _dirichlet_eigenvalues(rows)[:, None] + _dirichlet_eigenvalues(cols)
             )

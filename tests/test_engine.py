@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -22,11 +24,14 @@ from sandlab import (
     is_recurrent,
     lattice_window,
     line_sandpile,
+    load_graph,
     max_stable,
     min_to_topple,
     min_to_topple_uniform,
     point_config,
     recurrent_count,
+    save_graph,
+    solve_potential,
     spanning_tree_count,
     stabilize,
     strip_sandpile,
@@ -592,7 +597,7 @@ def test_fused_int64_audit_checks_the_degree_of_each_vertex():
     # off lattice blocks with mixed degrees: stable == degree at one vertex
     g = SandpileGraph(
         Multigraph(5, [(0, 1, 2), (1, 2, 1), (2, 4, 5), (0, 4, 1), (1, 3, 1), (3, 4, 2)]), 4)
-    assert g._lattice is None and g.degree.tolist() == [3, 4, 6, 3]
+    assert g._block is None and g.degree.tolist() == [3, 4, 6, 3]
     zero = np.zeros(4, dtype=np.int64)
     below = np.array([2, 3, 5, 2], dtype=np.int64)
     assert _both_checks(g, below, below, zero, 0) == below.tolist()
@@ -791,7 +796,7 @@ def _kernel_outcomes(g, c):
 @example(rows=3, cols=2, seed=7, top=4, site=0.1, drop=500)
 def test_lattice_stencil_matches_fifo(rows, cols, seed, top, site, drop):
     g = strip_sandpile(rows, cols)
-    assert g._lattice is not None
+    assert g._block is not None
     c = np.random.default_rng(seed).integers(0, top, size=g.n_ordinary)
     c[int(site * g.n_ordinary)] += drop
     stencil, fifo = _kernel_outcomes(g, c)
@@ -867,6 +872,24 @@ def test_lattice_blocks_take_the_stencil():
         assert _path_counts(g, [1] * g.n_ordinary)["lattice_stencil"] == 1
 
 
+def test_the_engine_keeps_a_layout_only_for_graphs_that_ran_the_stencil(tmp_path):
+    # a block loaded from JSON gets no layout from loading or from a solve;
+    # its first stencil run builds one, and the layout goes with the graph
+    save_graph(grid_sandpile(6), tmp_path / "grid6.json")
+    g = load_graph(tmp_path / "grid6.json")
+    solve_potential(g, 0)
+    layouts = engine_mod._LATTICES
+    assert g._block == (6, 6) and g not in layouts
+    gc.collect()
+    before = len(layouts)
+    stabilize(g, [9] * 36)
+    assert g in layouts and len(layouts) == before + 1
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None and len(layouts) == before
+
+
 def _swapped_grid5(x, y):
     """Grid 5 with the lattice edges (x,y)-(x,y+1) and (x+1,y)-(x+1,y+1)
     swapped for the diagonals (x,y)-(x+1,y+1) and (x,y+1)-(x+1,y): every
@@ -882,7 +905,7 @@ def test_near_lattices_take_the_worklist():
     # an L-shaped window: every degree is 4, but it is no block
     ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
     for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
-        assert g._lattice is None
+        assert g._block is None
         assert (g.degree == 4).all()
         c = [9] * g.n_ordinary
         assert _path_counts(g, c) == {"lattice_stencil": 0, "worklist": 1}

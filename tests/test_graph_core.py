@@ -23,7 +23,8 @@ from sandlab import (
     save_graph,
     strip_sandpile,
 )
-from sandlab.graph_core import _csr, _Lattice
+from sandlab.engine import _Lattice
+from sandlab.graph_core import _csr
 
 import oracles
 from test_engine import _swapped_grid5, _window_interior
@@ -292,7 +293,7 @@ def _inflow_graphs():
 def test_inflow_matches_adjacency_product():
     rng = np.random.default_rng(5)
     graphs = _inflow_graphs()
-    assert {g._lattice is None for g in graphs} == {True, False}
+    assert {g._block is None for g in graphs} == {True, False}
     for g in graphs:
         z = rng.integers(0, 1 << 40, g.n_ordinary)
         got = g._inflow(z)

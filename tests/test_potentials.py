@@ -156,7 +156,7 @@ def test_spectral_path_matches_lu(rows, cols, pole, other):
         fld = solve_potential(g, w)
         rec = potentials_mod._solver(g)
         assert rec.lu is None and rec.spectrum.shape == (rows, cols)
-        assert g._lattice[:2] == (rows, cols)
+        assert g._block == (rows, cols)
         assert np.abs(fld.values - _lu_field(g, w)).max() <= 1e-12
         assert fld.residual <= 1e-14
         pairs = [(g.sink, u), (u, g.sink)] + ([(w, u), (u, w)] if u != w else [])
@@ -178,7 +178,7 @@ def test_non_lattice_graphs_above_the_limit_take_lu(monkeypatch):
     ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
     monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
     for g in (_window_interior(6, 6, ell), _swapped_grid5(0, 0), _swapped_grid5(2, 2)):
-        assert g._lattice is None
+        assert g._block is None
         m = g.n_ordinary
         for w in (0, m // 2, m - 1):
             fld = solve_potential(g, w)
