@@ -39,7 +39,10 @@ searches of ``estimators`` and ``epicenter``) is the least multiple x of a
 base placement such that, in the stabilization of x times it, every vertex
 of a target set has toppled, or has received a particle.  One search,
 ``_least_multiple``, takes the target set and that goal, and refuses a
-target that no multiple can reach.
+target that no multiple can reach.  Each probe starts from the stable
+state at the last failing count; a probe that is already stable there
+topples nothing and is composed without a stabilization, so
+``engine_stats`` counts only the probes that topple.
 
 ``tcl_exact`` measures the transience class on small graphs: it collects
 the transient stable states reachable from empty and takes the longest
@@ -210,7 +213,16 @@ class TclResult:
 def normalize_config(g: SandpileGraph, counts) -> np.ndarray:
     """Coerce a sequence, {vertex: count} mapping or array to a ``_counts``
     array, each entry as ``int()`` reads it.  A one-dimensional int64 array
-    is taken as it is."""
+    is taken as it is; one pass reads its maximum as unsigned, which is
+    below 2**62 exactly when every entry is nonnegative and within the
+    ``_counts`` bound."""
+    if (
+        isinstance(counts, np.ndarray)
+        and counts.dtype == np.int64
+        and counts.shape == (g.n_ordinary,)
+        and counts.view(np.uint64).max(initial=0) < _INT64_HEADROOM
+    ):
+        return counts
     if isinstance(counts, dict):
         values = [0] * g.n_ordinary
         for v, c in counts.items():
@@ -581,11 +593,16 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
         stabilize(x * base) = stabilize(stable(lo) + (x - lo) * base)
 
     with toppling counts adding.  So a probe stabilizes, with the full
-    audit, only ``stable(lo) + (x - lo) * base`` and composes the state
+    audit, only ``c = stable(lo) + (x - lo) * base`` and composes the state
     for ``x * base``: ``score`` and ``sink_absorbed`` add, and ``received``
-    is ``received(lo) - stable(lo)`` plus the step's ``received``.  The
-    state at ``lo = 0`` is the empty stabilization, so the first probes
-    stabilize ``x * base`` itself.
+    is ``received(lo) - stable(lo)``, kept with the state at ``lo``, plus
+    the step's ``received``.  A probe whose ``c`` is already stable, every
+    entry below its degree, topples nothing and calls no ``stabilize``: its
+    stable is ``c``, its score and ``sink_absorbed`` are those of ``lo``,
+    and its ``received`` is ``received(lo) - stable(lo) + c``, exactly.  So
+    every stabilization of a search topples, every one is audited, and
+    ``engine_stats`` counts only those.  The state at ``lo = 0`` is the
+    empty stabilization, so the first probes place ``x * base`` itself.
     """
     base = _counts(base)
     targets = np.asarray(targets, dtype=np.int64)
@@ -597,25 +614,33 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
                 f"target {unreached[0]} is unreachable from the placement without the sink"
             )
     watched = {"topple": 1, "flood": 2}[goal]  # score or received in a state
+    degree = g.degree.view(np.uint64)
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
     at_lo = (zero, zero, zero, 0)  # stable, score, received, sink_absorbed at lo
+    inflow_lo = zero  # received(lo) - stable(lo)
 
     def probe(x):
-        stable_lo, score_lo, received_lo, absorbed_lo = at_lo
-        step = stabilize(g, stable_lo + _times(base, x - lo))
-        stable, score, received = step._stable, step._score, step._received
-        state = (
-            stable,
-            _counts(score_lo + score),
-            _counts(_counts(received_lo - stable_lo) + received),
-            absorbed_lo + step.sink_absorbed,
-        )
+        stable_lo, score_lo, _, absorbed_lo = at_lo
+        c = stable_lo + _times(base, x - lo)
+        # one unsigned compare reads 0 <= c < degree
+        if c.dtype == np.int64 and (c.view(np.uint64) < degree).all():
+            c = _counts(c)  # a degree past 2**62 lets a stable entry pass the bound
+            state = (c, score_lo, _counts(inflow_lo + c), absorbed_lo)
+        else:
+            step = stabilize(g, c)
+            state = (
+                step._stable,
+                _counts(score_lo + step._score),
+                _counts(inflow_lo + step._received),
+                absorbed_lo + step.sink_absorbed,
+            )
         return state, state[watched][targets].min() > 0
 
     lo, hi = 0, max(1, int(start))
     best, done = probe(hi)
     while not done:
         lo, hi, at_lo = hi, hi * 2, best
+        inflow_lo = best[2] - best[0]
         best, done = probe(hi)
     # invariant: best is the state at hi and meets the goal; every answer is above lo
     while hi - lo > 1:
@@ -624,7 +649,7 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
         if done:
             hi, best = mid, state
         else:
-            lo, at_lo = mid, state
+            lo, at_lo, inflow_lo = mid, state, state[2] - state[0]
     return hi, _result(*best)
 
 

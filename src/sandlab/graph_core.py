@@ -219,14 +219,29 @@ class SandpileGraph:
         neighbors, for an int64 or object (Python int) vector ``z``, in its
         dtype.
 
-        A lattice block adds the four shifted slices of ``z`` as a
-        zero-padded rows x cols array; any other graph sums each CSR row.
+        A lattice block lays ``z`` out row-major with one zero pad column
+        and a zero pad row above and below, row x at ``(x + 1) * w`` with
+        ``w = cols + 1``, and adds the contiguous runs shifted by -w and +w,
+        then -1, then +1 over rows 1..rows: north plus south, then west,
+        then east, the order whose float sums ``potentials`` relies on.  A
+        one-row block skips the north and south runs, which lie in the pad
+        rows; their zeros would change no sum but the sign of a -0.0.  Any
+        other graph sums each CSR row.
         """
         if self._block is not None:
             rows, cols = self._block
-            pad = np.zeros((rows + 2, cols + 2), dtype=z.dtype)
-            pad[1:-1, 1:-1] = z.reshape(rows, cols)
-            return (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]).ravel()
+            w = cols + 1
+            pad = np.zeros((rows + 2) * w, dtype=z.dtype)
+            pad[w:(rows + 1) * w].reshape(rows, w)[:, :cols] = z.reshape(rows, cols)
+            a, b = w, (rows + 1) * w
+            west, east = pad[a - 1:b - 1], pad[a + 1:b + 1]
+            if rows > 1:
+                out = pad[a - w:b - w] + pad[a + w:b + w]
+                out += west
+                out += east
+            else:
+                out = west + east
+            return out.reshape(rows, w)[:, :cols].ravel()
         starts = self.indptr[:-1]
         # the appended 0 keeps every start, empty trailing rows included, in range
         inflow = np.add.reduceat(np.append(self.mult * z[self.indices], 0), starts)
@@ -245,11 +260,24 @@ class SandpileGraph:
     # -- metric ----------------------------------------------------------
 
     def ordinary_distances(self, sources, cutoff=None):
-        """BFS distances in the sink-deleted subgraph; unreachable is -1."""
-        sources = list(sources)
+        """Distances in the sink-deleted subgraph; unreachable is -1, and so
+        is every distance past ``cutoff`` when one is given.
+
+        A lattice block is L1-convex, so its distance from one source is
+        ``|dx| + |dy|``; several sources, and any other graph, run a
+        breadth-first search.
+        """
+        sources = [int(s) for s in sources]
         for s in sources:
             self.check_ordinary(s, "source")
-        reached = _bfs(self.indptr, self.indices, [int(s) for s in sources], cutoff)
+        if self._block is not None and len(sources) == 1:
+            rows, cols = self._block
+            x, y = divmod(sources[0], cols)
+            dist = np.add.outer(np.abs(np.arange(rows) - x), np.abs(np.arange(cols) - y)).ravel()
+            if cutoff is not None:
+                dist[dist > max(cutoff, 0)] = -1
+            return dist
+        reached = _bfs(self.indptr, self.indices, sources, cutoff)
         dist = np.full(self.n_ordinary, -1, dtype=np.int64)
         dist[list(reached)] = list(reached.values())
         return dist
@@ -258,10 +286,18 @@ class SandpileGraph:
         """Distance from each ordinary vertex to the nearest sink-adjacent one.
 
         This is the radius of the largest ball around the vertex that stays
-        strictly inside the ordinary part; sink-adjacent vertices have 0.
+        strictly inside the ordinary part; sink-adjacent vertices have 0.  On
+        a lattice block, cell (x, y) has ``min(x, y, rows - 1 - x, cols - 1 -
+        y)``.
         """
         if self._eta is None:
-            self._eta = self.ordinary_distances(self._boundary.tolist())
+            if self._block is not None:
+                rows, cols = self._block
+                x, y = np.arange(rows), np.arange(cols)
+                near = np.minimum.outer(np.minimum(x, rows - 1 - x), np.minimum(y, cols - 1 - y))
+                self._eta = near.ravel()
+            else:
+                self._eta = self.ordinary_distances(self._boundary.tolist())
         return self._eta
 
     def ordinary_ball(self, v, r):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,15 +456,70 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
     monkeypatch.setattr(engine_mod, "stabilize", spy)
     answer = run()
     want = oracles.bisect_probes(g, base, done, start)
-    assert len(calls) == len(want)
     assert answer == min(x for x, passed, _ in want if passed)
     lo, stable_lo = 0, [0] * g.n_ordinary
-    for (x, passed, stable), (counts, step) in zip(want, calls):
-        assert counts == [s + (x - lo) * b for s, b in zip(stable_lo, base)]
-        assert step.stable == stable
+    made = iter(calls)
+    for x, passed, stable in want:
+        counts = [s + (x - lo) * b for s, b in zip(stable_lo, base)]
+        if all(c < d for c, d in zip(counts, g.degree.tolist())):
+            # a stable input topples nothing: composed, not stabilized
+            assert stable == counts
+        else:
+            made_counts, step = next(made)
+            assert made_counts == counts
+            assert step.stable == stable
         if not passed:
-            lo, stable_lo = x, step.stable
+            lo, stable_lo = x, stable
+    assert next(made, None) is None
     assert lo == answer - 1
+
+
+# an L-shaped region of a 7 x 7 window: not a lattice block, degrees 4
+_ELL = [(x, y) for x in range(1, 6) for y in range(1, 6) if x > 3 or y < 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.none()),
+    sites=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+    count=st.integers(1, 3),
+    point=st.booleans(),
+    targets=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+    goal=st.sampled_from(["topple", "flood"]),
+    start=st.integers(1, 9),
+)
+@example(shape=(5, 6), sites=[0.5], count=1, point=False, targets=[0.0, 0.9],
+         goal="flood", start=1)
+@example(shape=None, sites=[0.3, 0.6], count=2, point=False, targets=[0.99],
+         goal="topple", start=1)
+@example(shape=(1, 6), sites=[0.5], count=1, point=True, targets=[0.0], goal="topple",
+         start=2)
+def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, point, targets,
+                                                       goal, start):
+    # the search equals a from-scratch bracket-and-bisect over stabilize(x * base),
+    # and it sends no stable configuration through stabilize
+    g = strip_sandpile(*shape) if shape else _window_interior(7, 7, _ELL)
+    m = g.n_ordinary
+    picked = sorted({int(f * m) for f in sites})
+    if point:
+        base = point_config(g, picked[0], count)
+    else:
+        base = uniform_config(g, picked, count)
+    targets = sorted({int(f * m) for f in targets})
+    placed = []
+    real = engine_mod.stabilize
+
+    def spy(g_, counts):
+        placed.append(counts)
+        return real(g_, counts)
+
+    with mock.patch.object(engine_mod, "stabilize", spy):
+        x, res = engine_mod._least_multiple(g, base, targets, goal, start)
+    want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal), start)
+    assert x == want_x
+    fields = ("stable", "score", "received", "sink_absorbed", "topplings_total")
+    assert [getattr(res, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert all((c >= g.degree).any() for c in placed)
 
 
 def test_results_list_their_arrays_on_first_read():

@@ -24,7 +24,7 @@ from sandlab import (
     strip_sandpile,
 )
 from sandlab.engine import _Lattice
-from sandlab.graph_core import _csr
+from sandlab.graph_core import _bfs, _csr
 
 import oracles
 from test_engine import _swapped_grid5, _window_interior
@@ -305,6 +305,30 @@ def test_inflow_matches_adjacency_product():
         assert got.tolist() == oracles.reference_inflow(g, big)
     star = graphs[-1]
     assert star.indptr[:2].tolist() == [0, 0] and star.indptr[-2] == star.indptr[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    sources=st.lists(st.floats(0, 1, exclude_max=True), max_size=5),
+    cutoff=st.one_of(st.none(), st.integers(0, 17)),
+)
+@example(rows=1, cols=1, sources=[0.0], cutoff=0)
+@example(rows=4, cols=7, sources=[], cutoff=None)
+@example(rows=9, cols=2, sources=[0.1, 0.1, 0.8], cutoff=3)
+def test_block_distances_and_eta_match_bfs(rows, cols, sources, cutoff):
+    g = strip_sandpile(rows, cols)
+    m = g.n_ordinary
+    sources = [int(f * m) for f in sources]
+    reached = _bfs(g.indptr, g.indices, sources, cutoff)
+    got = g.ordinary_distances(sources, cutoff)
+    assert got.dtype == np.int64
+    assert got.tolist() == [reached.get(v, -1) for v in range(m)]
+    boundary = _bfs(g.indptr, g.indices, g._boundary.tolist())
+    eta = g.eta()
+    assert eta.dtype == np.int64
+    assert eta.tolist() == [boundary[v] for v in range(m)]
 
 
 def test_build_sandpile_rejects_disconnected_subset():
