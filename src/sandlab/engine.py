@@ -39,10 +39,16 @@ searches of ``estimators`` and ``epicenter``) is the least multiple x of a
 base placement such that, in the stabilization of x times it, every vertex
 of a target set has toppled, or has received a particle.  One search,
 ``_least_multiple``, takes the target set and that goal, and refuses a
-target that no multiple can reach.  Each probe starts from the stable
-state at the last failing count; a probe that is already stable there
-topples nothing and is composed without a stabilization, so
-``engine_stats`` counts only the probes that topple.
+target that no multiple can reach.  Each probe is built from stable
+states the search already holds: the state at the last failing count
+``lo`` plus, when the doubling has found ``x - lo`` failing, the state at
+``x - lo``, else ``(x - lo)`` times the base.  Every legal toppling of
+either summand stays legal in their sum, so by the abelian property
+stabilizing the sum completes the stabilization of x times the base.  A
+sum that is already stable topples nothing and is composed without a
+stabilization, so ``engine_stats`` counts only the probes that topple.
+The table of those doubling states, with the empty one, holds fewer
+than ``log2(x / start) + 2`` states.
 
 ``tcl_exact`` measures the transience class on small graphs: it collects
 the transient stable states reachable from empty and takes the longest
@@ -570,7 +576,8 @@ def _balance_check(g, c0, stable, score):
 # monotone threshold searches
 
 
-def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
+def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, *,
+                    at_one=None):
     """Least x >= 1 such that, in the stabilization of ``x * base``, every
     vertex of ``targets`` has toppled (``goal="topple"``: score >= 1) or
     received a particle (``goal="flood"``: received >= 1).
@@ -586,23 +593,33 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
     ``PreconditionError`` before the first probe.  A lattice block is
     connected, so it skips the check.
 
-    Each probe pays only for the topplings past the last failing count
-    ``lo``.  By the abelian property (Dhar 1990) and the least action
-    principle (Fey, Levine & Peres 2010),
+    Each probe is built from the stable states the search already holds.
+    The state of a count is ``(stable, score, received - stable,
+    sink_absorbed)`` of its stabilization, and ``table`` maps the count 0
+    (the empty state) and every count the doubling found failing to its
+    state.  A probe at x takes the state at the last failing count ``lo``
+    and adds the table's state at ``d = x - lo``, or the raw placement
+    ``(d * base, 0, 0, 0)`` when the table has none: ``c = stable(lo) +
+    stable(d)``, and score, ``received - stable`` and ``sink_absorbed``
+    add.  This is legal: the topplings that stabilize ``lo * base`` stay
+    legal once ``d * base`` is added, and those that stabilize ``d * base``
+    stay legal on ``stable(lo) + d * base``, as added particles never make
+    a legal toppling illegal.  So by the abelian property (Dhar 1990)
+    stabilizing ``c`` completes a legal stabilization of ``x * base``, and
+    its ``stable``, ``score``, ``received`` and ``sink_absorbed`` are those
+    of ``stabilize(x * base)``.  A ``c`` that topples goes through
+    ``stabilize``, with the full audit; a ``c`` that is already stable,
+    every entry below its degree, topples nothing and is composed without
+    a stabilization, so ``engine_stats`` counts only the probes that
+    topple.
 
-        stabilize(x * base) = stabilize(stable(lo) + (x - lo) * base)
-
-    with toppling counts adding.  So a probe stabilizes, with the full
-    audit, only ``c = stable(lo) + (x - lo) * base`` and composes the state
-    for ``x * base``: ``score`` and ``sink_absorbed`` add, and ``received``
-    is ``received(lo) - stable(lo)``, kept with the state at ``lo``, plus
-    the step's ``received``.  A probe whose ``c`` is already stable, every
-    entry below its degree, topples nothing and calls no ``stabilize``: its
-    stable is ``c``, its score and ``sink_absorbed`` are those of ``lo``,
-    and its ``received`` is ``received(lo) - stable(lo) + c``, exactly.  So
-    every stabilization of a search topples, every one is audited, and
-    ``engine_stats`` counts only those.  The state at ``lo = 0`` is the
-    empty stabilization, so the first probes place ``x * base`` itself.
+    The doubling fails at ``start * 2**i`` for i < k, so each of its
+    increments, and each bisection increment down to ``start``, is in the
+    table.  As the answer exceeds ``start * 2**(k - 1)``, those are fewer
+    than ``log2(x / start) + 2`` states, with the empty one, each three
+    int64 vectors of m entries while the counts fit.  ``at_one``, a
+    caller's ``stabilize(g, base)``, seeds the state at count 1, so that a
+    search from ``start = 1`` composes its first probe.
     """
     base = _counts(base)
     targets = np.asarray(targets, dtype=np.int64)
@@ -613,34 +630,39 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
             raise PreconditionError(
                 f"target {unreached[0]} is unreachable from the placement without the sink"
             )
-    watched = {"topple": 1, "flood": 2}[goal]  # score or received in a state
     degree = g.degree.view(np.uint64)
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
-    at_lo = (zero, zero, zero, 0)  # stable, score, received, sink_absorbed at lo
-    inflow_lo = zero  # received(lo) - stable(lo)
+    table = {0: (zero, zero, zero, 0)}  # count -> (stable, score, received - stable, absorbed)
+    if at_one is not None:
+        table[1] = (at_one._stable, at_one._score, _counts(at_one._received - at_one._stable),
+                    at_one.sink_absorbed)
 
     def probe(x):
-        stable_lo, score_lo, _, absorbed_lo = at_lo
-        c = stable_lo + _times(base, x - lo)
+        d = x - lo
+        inc = table[d] if d in table else (_times(base, d), zero, zero, 0)
+        c = at_lo[0] + inc[0]
+        score, inflow = _counts(at_lo[1] + inc[1]), _counts(at_lo[2] + inc[2])
+        absorbed = at_lo[3] + inc[3]
         # one unsigned compare reads 0 <= c < degree
         if c.dtype == np.int64 and (c.view(np.uint64) < degree).all():
             c = _counts(c)  # a degree past 2**62 lets a stable entry pass the bound
-            state = (c, score_lo, _counts(inflow_lo + c), absorbed_lo)
         else:
             step = stabilize(g, c)
-            state = (
-                step._stable,
-                _counts(score_lo + step._score),
-                _counts(inflow_lo + step._received),
-                absorbed_lo + step.sink_absorbed,
-            )
-        return state, state[watched][targets].min() > 0
+            c = step._stable
+            score = _counts(score + step._score)
+            inflow = _counts(inflow + (step._received - c))
+            absorbed += step.sink_absorbed
+        if goal == "topple":
+            done = score[targets].min() > 0
+        else:
+            done = (c[targets] + inflow[targets]).min() > 0
+        return (c, score, inflow, absorbed), done
 
-    lo, hi = 0, max(1, int(start))
+    lo, hi, at_lo = 0, max(1, int(start)), table[0]
     best, done = probe(hi)
     while not done:
+        table[hi] = best
         lo, hi, at_lo = hi, hi * 2, best
-        inflow_lo = best[2] - best[0]
         best, done = probe(hi)
     # invariant: best is the state at hi and meets the goal; every answer is above lo
     while hi - lo > 1:
@@ -649,8 +671,9 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1):
         if done:
             hi, best = mid, state
         else:
-            lo, at_lo, inflow_lo = mid, state, state[2] - state[0]
-    return hi, _result(*best)
+            lo, at_lo = mid, state
+    stable, score, inflow, absorbed = best
+    return hi, _result(stable, score, _counts(inflow + stable), absorbed)
 
 
 def _counts(values):

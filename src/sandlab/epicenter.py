@@ -328,7 +328,8 @@ def single_step(g, v, u, c_base, params: BoundParams):
         raise PreconditionError("no interior ball")
     ball_v = g.ordinary_ball(v, eta_v)
     base = [int(c) for c in c_base]
-    if not stabilize(g, base).flooded(ball_v):
+    at_one = stabilize(g, base)
+    if not at_one.flooded(ball_v):
         raise PreconditionError("base configuration does not flood the source ball")
     bound = params.epicenter_constant()
     if u == v:
@@ -343,7 +344,7 @@ def single_step(g, v, u, c_base, params: BoundParams):
     if not (2 * eta_u >= eta_v and 2 * eta_u <= 3 * eta_v):
         raise InternalError("radius ratio left its guaranteed window")
     ball_u = g.ordinary_ball(u, eta_u)
-    k, _ = _least_multiple(g, base, ball_u, "flood")
+    k, _ = _least_multiple(g, base, ball_u, "flood", at_one=at_one)
     return k, bound
 
 
@@ -403,7 +404,9 @@ def propagate(g, p, q, params: BoundParams, heuristic=False,
             u = vertices[idx]
             radius = eta[idx]
             targets = g.ordinary_ball(u, radius) if radius >= 1 else [u]
-            k, res = _least_multiple(g, point_config(g, p, total), targets, "flood")
+            # res is stabilize(total * e_p), this search's state at count 1
+            k, res = _least_multiple(g, point_config(g, p, total), targets, "flood",
+                                     at_one=res)
             total *= k
             steps.append(FloodStep(center=u, radius=radius, multiplier=k,
                                    segment=seg_idx))

@@ -457,21 +457,32 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
     answer = run()
     want = oracles.bisect_probes(g, base, done, start)
     assert answer == min(x for x, passed, _ in want if passed)
+    # a probe at x places stable(lo) + stable(x - lo) when the doubling has
+    # found x - lo failing, else stable(lo) + (x - lo) * base
     lo, stable_lo = 0, [0] * g.n_ordinary
+    failing = {0: stable_lo}  # the failing doubling counts, and the empty state
+    growing, reused = True, 0
     made = iter(calls)
     for x, passed, stable in want:
-        counts = [s + (x - lo) * b for s, b in zip(stable_lo, base)]
-        if all(c < d for c, d in zip(counts, g.degree.tolist())):
+        d = x - lo
+        increment = failing.get(d, [d * b for b in base])
+        counts = [s + t for s, t in zip(stable_lo, increment)]
+        if all(c < deg for c, deg in zip(counts, g.degree.tolist())):
             # a stable input topples nothing: composed, not stabilized
             assert stable == counts
         else:
             made_counts, step = next(made)
             assert made_counts == counts
             assert step.stable == stable
+            reused += d > 0 and d in failing
+        growing = growing and not passed
+        if growing:
+            failing[x] = stable
         if not passed:
             lo, stable_lo = x, stable
     assert next(made, None) is None
     assert lo == answer - 1
+    assert reused >= 1
 
 
 # an L-shaped region of a 7 x 7 window: not a lattice block, degrees 4
@@ -497,7 +508,8 @@ _ELL = [(x, y) for x in range(1, 6) for y in range(1, 6) if x > 3 or y < 3]
 def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, point, targets,
                                                        goal, start):
     # the search equals a from-scratch bracket-and-bisect over stabilize(x * base),
-    # and it sends no stable configuration through stabilize
+    # with or without the stabilization of 1 * base as its seed, and it sends
+    # no stable configuration through stabilize
     g = strip_sandpile(*shape) if shape else _window_interior(7, 7, _ELL)
     m = g.n_ordinary
     picked = sorted({int(f * m) for f in sites})
@@ -513,12 +525,16 @@ def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, poin
         placed.append(counts)
         return real(g_, counts)
 
+    one = stabilize(g, base)
     with mock.patch.object(engine_mod, "stabilize", spy):
         x, res = engine_mod._least_multiple(g, base, targets, goal, start)
+        seeded_x, seeded = engine_mod._least_multiple(g, base, targets, goal, start,
+                                                      at_one=one)
     want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal), start)
-    assert x == want_x
+    assert x == seeded_x == want_x
     fields = ("stable", "score", "received", "sink_absorbed", "topplings_total")
     assert [getattr(res, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert [getattr(seeded, f) for f in fields] == [getattr(want, f) for f in fields]
     assert all((c >= g.degree).any() for c in placed)
 
 

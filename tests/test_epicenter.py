@@ -253,8 +253,9 @@ def test_propagate_grid17_frozen():
     bp = BoundParams.grid_defaults()
     before = engine_stats()["stabilizations"]
     tr = propagate(g, g.vertex_at(1, 1), g.vertex_at(15, 15), bp)
-    # every stabilization is a search probe that topples; none is repeated afterwards
-    assert engine_stats()["stabilizations"] - before == 26
+    # every stabilization is a search probe that topples; none is repeated
+    # afterwards, and each step composes its first probe from the result before
+    assert engine_stats()["stabilizations"] - before == 13
     assert tr.k0 == 4
     assert len(tr.steps) == 11
     assert [s.multiplier for s in tr.steps] == [4, 4, 2, 2, 2, 2, 2, 2, 2, 1, 2]
