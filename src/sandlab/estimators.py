@@ -28,7 +28,7 @@ from .engine import (
     min_to_topple_uniform,
     uniform_config,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .graph_core import gen_family
 from .potentials import solve_potential
 
@@ -50,6 +50,11 @@ _PROP_CODES = {"alpha": 1, "hlc": 2, "mv": 3, "ls": 4, "op": 5}
 
 # hlc flags a family whose worst ratio climbs by more than this factor
 _HLC_GROWTH_FACTOR = 2.0
+
+# most samples (sizes times samples per size) one estimate may draw: each
+# sample keeps a row, and a larger request would run for hours; the CLI's
+# default of 50 per size is far below it
+SAMPLE_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -409,3 +414,9 @@ def _check_args(sizes, samples, seed):
         raise PreconditionError("need at least one family size")
     if samples < 1:
         raise PreconditionError("need at least one sample per size")
+    total = len(sizes) * samples
+    if total > SAMPLE_BUDGET:
+        raise ResourceLimitError(
+            f"an estimate of {total} samples ({len(sizes)} size(s) x {samples}) "
+            f"exceeds the sample budget {SAMPLE_BUDGET}"
+        )

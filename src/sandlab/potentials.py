@@ -17,12 +17,28 @@ Laplacian ``L x = b`` is solved one of two ways:
   ``T_rows (x) I + I (x) T_cols`` with ``T_k = tridiag(-1, 2, -1)``, which
   the orthonormal DST-I diagonalizes (the fast Poisson solver of Buzbee,
   Golub & Nielson 1970); the DST is one ``numpy.fft.rfft`` of the odd
-  extension, so no factor is stored;
+  extension, so no factor is stored.  A solve is four passes of 1-D DSTs
+  (rows, columns, rows, columns), but every right-hand side here is a
+  pole or a dipole, so the first pass transforms only its one or two
+  nonzero rows, and a resistance, which reads one or two entries, runs
+  the last pass only on their columns.  A pole's field costs three full
+  passes and one row, a resistance to the sink two full passes, one row
+  and one column, and a resistance between two ordinary vertices (a
+  dipole) two full passes, two rows and two columns.  The shortcuts are
+  exact to the bit: ``numpy.fft.rfft`` transforms each row of a batch on
+  its own, so a row gives the same bits alone as among others;
 - every other graph: a sparse LU factor (COLAMD order), built once and
   reused for every pole.  Its fill is the memory cost of this path: on
   L-shaped lattice regions of 34 561 and 101 568 ordinary vertices the
   factor holds 2.6 M and 9.6 M nonzeros (about 30 and 109 MB), the first
-  pole takes 0.4 and 1.0 s and each later pole 8 and 36 ms.
+  pole takes 0.4 and 1.0 s and each later pole 8 and 36 ms.  A pole's
+  field, a resistance to the sink and a dipole's resistance cost one pair
+  of triangular solves each.
+
+On both paths a cached field keeps its pole's scale ``x[w]``, the
+unnormalized solve's value at the pole, which is the pole's resistance to
+the sink: ``effective_resistance`` returns it without a solve, and the
+field and its scale leave the cache together.
 
 scipy is imported only by the LU path, when its solver record is built,
 not with this module: its import costs more than most engine answers, so
@@ -141,14 +157,10 @@ def _dst(a):
     return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
 
 
-def _dst2(a):
-    """S_rows a S_cols: the DST-I along both axes of a rows x cols array."""
-    return _dst(_dst(a).T).T
-
-
 class _Solver:
-    """One graph's solver state: float degrees, the lattice spectrum or the
-    LU factor, and the field cache."""
+    """One graph's solver state: float degrees, the lattice spectrum (with
+    the DST of a zero row) or the LU factor, and the field cache, which maps
+    each cached pole to its field and its scale."""
 
     def __init__(self, g: SandpileGraph):
         self.degree = np.asarray(g.degree, dtype=float)
@@ -158,12 +170,14 @@ class _Solver:
             self.spectrum = (
                 _dirichlet_eigenvalues(rows)[:, None] + _dirichlet_eigenvalues(cols)
             )
+            # -0.0 throughout, not +0.0: the bits a full pass gives a zero row
+            self.zero_row = _dst(np.zeros(cols))
         else:
             import scipy.sparse as sp
             import scipy.sparse.linalg as spla
 
             self.lu = spla.splu(sp.csc_matrix(g.laplacian().astype(float)))
-        self.fields: dict[int, PotentialField] = {}
+        self.fields: dict[int, tuple[PotentialField, float]] = {}
 
 
 _SOLVERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -176,12 +190,33 @@ def _solver(g: SandpileGraph) -> _Solver:
     return _SOLVERS[g]
 
 
-def _laplacian_solve(rec: _Solver, rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs for the sink-reduced Laplacian."""
-    if rec.spectrum is not None:
-        spectrum = rec.spectrum
-        return _dst2(_dst2(rhs.reshape(spectrum.shape)) / spectrum).ravel()
-    return rec.lu.solve(rhs)
+def _laplacian_solve(rec: _Solver, rhs: np.ndarray, read=None) -> np.ndarray:
+    """Solve L x = rhs for the sink-reduced Laplacian: all of x, or only
+    ``x[read]`` when the caller reads a few entries.
+
+    The LU path solves in full either way.  The sine-transform path
+    computes ``S (S B S / spectrum) S`` for the block ``B`` of ``rhs``, one
+    pass of 1-D DSTs at a time.  Its first pass transforms only the rows
+    of ``B`` that hold a nonzero bit and gives every other row the
+    record's zero-row DST; with ``read`` its last pass transforms only the
+    columns of the entries read.  Both shortcuts are exact to the bit,
+    because ``numpy.fft.rfft`` transforms each row of a batch on its own:
+    a row gives the same bits alone as among others.
+    """
+    if rec.spectrum is None:
+        x = rec.lu.solve(rhs)
+        return x if read is None else x[read]
+    spectrum = rec.spectrum
+    block = rhs.reshape(spectrum.shape)
+    live = np.flatnonzero(block.view(np.int64).any(axis=1))
+    first = np.empty(spectrum.shape)
+    first[:] = rec.zero_row
+    first[live] = _dst(block[live])
+    last = _dst(_dst(first.T).T / spectrum)
+    if read is None:
+        return _dst(last.T).T.ravel()
+    rows, cols = np.divmod(np.asarray(read), spectrum.shape[1])
+    return _dst(last[:, cols].T)[np.arange(len(cols)), rows]
 
 
 def _harmonic_residual(g: SandpileGraph, rec: _Solver, values, skip):
@@ -198,7 +233,7 @@ def solve_potential(g: SandpileGraph, w: int) -> PotentialField:
     rec = _solver(g)
     cached = rec.fields.get(w)
     if cached is not None:
-        return cached
+        return cached[0]
     x = _laplacian_solve(rec, _unit_vector(g.n_ordinary, w))
     scale = x[w]
     if not np.isfinite(scale) or scale <= 0:
@@ -208,7 +243,7 @@ def solve_potential(g: SandpileGraph, w: int) -> PotentialField:
     if residual > RESIDUAL_TOLERANCE:
         raise InternalError(f"harmonicity residual {residual:.3e} too large")
     fld = PotentialField(pole=int(w), values=values, residual=residual)
-    rec.fields[w] = fld
+    rec.fields[w] = (fld, float(scale))
     while len(rec.fields) * values.nbytes > _FIELD_CACHE_BYTES:
         del rec.fields[next(iter(rec.fields))]
     return fld
@@ -218,7 +253,9 @@ def effective_resistance(g: SandpileGraph, u: int, v: int) -> float:
     """Voltage needed to push unit current from ``u`` to ``v``.
 
     Either endpoint may be the sink.  Symmetric and strictly positive for
-    distinct vertices.
+    distinct vertices.  The resistance from the sink to a pole whose field
+    is cached is that field's scale: the same solve of the same unit
+    vector, so the same float, without a solve.
     """
     if u == v:
         raise PreconditionError("effective resistance needs distinct endpoints")
@@ -226,15 +263,18 @@ def effective_resistance(g: SandpileGraph, u: int, v: int) -> float:
     if u == g.sink or v == g.sink:
         other = v if u == g.sink else u
         g.check_ordinary(other)
-        x = _laplacian_solve(_solver(g), _unit_vector(m, other))
-        return float(x[other])
+        rec = _solver(g)
+        cached = rec.fields.get(other)
+        if cached is not None:
+            return cached[1]
+        return float(_laplacian_solve(rec, _unit_vector(m, other), read=[other])[0])
     g.check_ordinary(u)
     g.check_ordinary(v)
     rhs = np.zeros(m)
     rhs[u] = 1.0
     rhs[v] = -1.0
-    x = _laplacian_solve(_solver(g), rhs)
-    return float(x[u] - x[v])
+    xu, xv = _laplacian_solve(_solver(g), rhs, read=[u, v])
+    return float(xu - xv)
 
 
 def potential_checks(

@@ -8,6 +8,8 @@ values frozen into the tests were produced by these.
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
+
 
 def reference_multigraph_edges(vertex_count, edges):
     """``Multigraph(vertex_count, edges).edges`` by a dict merge, edge by
@@ -162,6 +164,27 @@ def exact_resistance(g, u, v):
             rhs[i] = 1
     sol = solve_fraction_system(rows, rhs)
     return sol[pos[u]]
+
+
+def reference_dst(a):
+    """Orthonormal DST-I along the last axis: the imaginary part of the
+    real FFT of the odd extension [0, a, 0, -a reversed], all rows at once."""
+    n = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1 : n + 1] = a
+    ext[..., n + 2 :] = -a[..., ::-1]
+    return np.fft.rfft(ext)[..., 1 : n + 1].imag * (-1.0 / np.sqrt(2.0 * (n + 1)))
+
+
+def reference_sine_solve(spectrum, rhs):
+    """The lattice-block solve as four full 2-D sine transforms,
+    ``S (S B S / spectrum) S`` for the rows x cols block ``B`` of ``rhs``;
+    every pass transforms every row or column."""
+
+    def dst2(a):
+        return reference_dst(reference_dst(a).T).T
+
+    return dst2(dst2(rhs.reshape(spectrum.shape)) / spectrum).ravel()
 
 
 def exact_determinant(rows):

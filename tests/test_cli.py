@@ -226,6 +226,22 @@ def test_estimate_rejects_bad_sizes():
                  "--sizes", "8;16", "--samples", "5"]) == 2
 
 
+@pytest.mark.parametrize("sizes, samples", [
+    ("8", "100000000000000000000"),
+    ("8,16", str(sandlab.estimators.SAMPLE_BUDGET // 2 + 1)),
+])
+def test_estimate_past_the_sample_budget_exits_3_at_once(capsys, sizes, samples):
+    start = time.perf_counter()
+    code = main(["estimate", "alpha", "--family", "grid",
+                 "--sizes", sizes, "--samples", samples])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert "exceeds the sample budget 100000" in err
+    assert "Traceback" not in err
+
+
 # -- flood and epicenter ----------------------------------------------------
 
 

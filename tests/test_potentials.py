@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sandlab import (
     PreconditionError,
@@ -172,6 +173,123 @@ def test_dst_is_the_orthonormal_sine_matrix():
         a = rng.standard_normal((3, n))
         assert np.abs(potentials_mod._dst(a) - a @ sine).max() <= 1e-13
         assert np.abs(potentials_mod._dst(potentials_mod._dst(a)) - a).max() <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 120)),
+)
+def test_dst_of_chosen_rows_is_bit_identical_to_the_full_batch(data, shape):
+    # the sine-transform solve transforms only some rows of a batch; this
+    # holds only because numpy.fft.rfft gives a row the same bits alone
+    a = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    rows = sorted(data.draw(st.sets(st.integers(0, shape[0] - 1))))
+    dst = potentials_mod._dst
+    assert dst(a)[rows].tobytes() == dst(a[rows]).tobytes()
+
+
+def _reference_solve(g, rhs):
+    return oracles.reference_sine_solve(potentials_mod._solver(g).spectrum, rhs)
+
+
+def _assert_pole_and_resistances_exact(g, w, partner):
+    """Pole ``w``'s field, its sink resistance (solved, then from the cache)
+    and, unless ``partner == w``, the dipole ``w``-``partner`` both ways
+    equal the four-transform reference solve byte for byte."""
+    m = g.n_ordinary
+    x = _reference_solve(g, np.eye(1, m, w).ravel())
+    sink_ends = ((g.sink, w), (w, g.sink))
+    assert [effective_resistance(g, a, b) for a, b in sink_ends] == [float(x[w])] * 2
+    assert solve_potential(g, w).values.tobytes() == (x / x[w]).tobytes()
+    assert [effective_resistance(g, a, b) for a, b in sink_ends] == [float(x[w])] * 2
+    if partner != w:
+        for a, b in ((w, partner), (partner, w)):
+            rhs = np.zeros(m)
+            rhs[a], rhs[b] = 1.0, -1.0
+            y = _reference_solve(g, rhs)
+            assert effective_resistance(g, a, b) == float(y[a] - y[b])
+
+
+def test_spectral_solves_equal_the_four_transform_reference_on_strips(monkeypatch):
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", 0)
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            g = strip_sandpile(rows, cols)
+            m = g.n_ordinary
+            assert potentials_mod._solver(g).spectrum is not None
+            for w in range(m):
+                # a dipole costs two reference solves: check one at every third pole
+                partner = (7 * w + 3) % m if w % 3 == 0 else w
+                _assert_pole_and_resistances_exact(g, w, partner)
+
+
+def test_spectral_solves_equal_the_four_transform_reference_on_grid100():
+    g = grid_sandpile(100)
+    assert potentials_mod._solver(g).spectrum is not None
+    rng = np.random.default_rng(41)
+    corners = [(0, 9999), (99, 9900), (0, 99)]
+    sampled = [tuple(int(x) for x in rng.integers(0, 10_000, size=2)) for _ in range(12)]
+    for w, partner in corners + sampled:
+        _assert_pole_and_resistances_exact(g, w, partner)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = potentials_mod._laplacian_solve
+
+    def counted(rec, rhs, read=None):
+        calls.append(read)
+        return solve(rec, rhs, read)
+
+    monkeypatch.setattr(potentials_mod, "_laplacian_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [potentials_mod.DIRECT_SOLVE_LIMIT, 0])
+def test_sink_resistance_of_a_cached_pole_takes_no_solve(monkeypatch, limit):
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", limit)
+    g = grid_sandpile(8)
+    solved = effective_resistance(g, g.sink, 27)
+    calls = _count_solves(monkeypatch)
+    assert effective_resistance(g, 27, g.sink) == solved
+    assert calls == [[27]]
+    solve_potential(g, 27)
+    assert len(calls) == 2
+    assert effective_resistance(g, g.sink, 27) == solved
+    assert effective_resistance(g, 27, g.sink) == solved
+    assert len(calls) == 2
+    effective_resistance(g, 27, 28)
+    assert calls[2:] == [[27, 28]]
+
+
+@pytest.mark.parametrize("limit", [potentials_mod.DIRECT_SOLVE_LIMIT, 0])
+def test_potential_checks_solve_nothing_for_cached_poles(monkeypatch, limit):
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", limit)
+    g = grid_sandpile(8)
+    cold = potential_checks(grid_sandpile(8), [(3, 40), (40, 61)], [(3, 40, 61)])
+    for w in (3, 40, 61):
+        solve_potential(g, w)
+    calls = _count_solves(monkeypatch)
+    warm = potential_checks(g, [(3, 40), (40, 61)], [(3, 40, 61)])
+    assert calls == []
+    assert warm == cold
+
+
+@pytest.mark.parametrize("limit", [potentials_mod.DIRECT_SOLVE_LIMIT, 0])
+def test_evicted_pole_resistance_is_solved_again_with_the_same_bits(monkeypatch, limit):
+    monkeypatch.setattr(potentials_mod, "DIRECT_SOLVE_LIMIT", limit)
+    g = grid_sandpile(8)
+    monkeypatch.setattr(potentials_mod, "_FIELD_CACHE_BYTES", 8 * g.n_ordinary)
+    solve_potential(g, 5)
+    calls = _count_solves(monkeypatch)
+    cached = effective_resistance(g, g.sink, 5)
+    assert calls == []
+    solve_potential(g, 6)
+    assert list(potentials_mod._solver(g).fields) == [6]
+    again = effective_resistance(g, 5, g.sink)
+    assert calls == [None, [5]]
+    assert np.float64(again).tobytes() == np.float64(cached).tobytes()
 
 
 def test_non_lattice_graphs_above_the_limit_take_lu(monkeypatch):
