@@ -39,16 +39,17 @@ searches of ``estimators`` and ``epicenter``) is the least multiple x of a
 base placement such that, in the stabilization of x times it, every vertex
 of a target set has toppled, or has received a particle.  One search,
 ``_least_multiple``, takes the target set and that goal, and refuses a
-target that no multiple can reach.  Each probe is built from stable
-states the search already holds: the state at the last failing count
-``lo`` plus, when the doubling has found ``x - lo`` failing, the state at
-``x - lo``, else ``(x - lo)`` times the base.  Every legal toppling of
-either summand stays legal in their sum, so by the abelian property
-stabilizing the sum completes the stabilization of x times the base.  A
-sum that is already stable topples nothing and is composed without a
-stabilization, so ``engine_stats`` counts only the probes that topple.
-The table of those doubling states, with the empty one, holds fewer
-than ``log2(x / start) + 2`` states.
+target that no multiple can reach.  Each probe's ``(stable, score)`` is
+built from stable states the search already holds: the state at the last
+failing count ``lo`` plus, when the doubling has found ``x - lo``
+failing, the state at ``x - lo``, else ``(x - lo)`` times the base.
+Every legal toppling of either summand stays legal in their sum, so by
+the abelian property stabilizing the sum completes the stabilization of
+x times the base.  A sum that is already stable topples nothing and is
+composed without a stabilization, so ``engine_stats`` counts only the
+probes that topple.  The table of those doubling states, with the empty
+one, holds fewer than ``log2(x / start) + 2`` states.  The state at the
+answer is audited whole against x times the base.
 
 ``tcl_exact`` measures the transience class on small graphs: it collects
 the transient stable states reachable from empty and takes the longest
@@ -593,30 +594,34 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     ``PreconditionError`` before the first probe.  A lattice block is
     connected, so it skips the check.
 
-    Each probe is built from the stable states the search already holds.
-    The state of a count is ``(stable, score, received - stable,
-    sink_absorbed)`` of its stabilization, and ``table`` maps the count 0
-    (the empty state) and every count the doubling found failing to its
-    state.  A probe at x takes the state at the last failing count ``lo``
-    and adds the table's state at ``d = x - lo``, or the raw placement
-    ``(d * base, 0, 0, 0)`` when the table has none: ``c = stable(lo) +
-    stable(d)``, and score, ``received - stable`` and ``sink_absorbed``
-    add.  This is legal: the topplings that stabilize ``lo * base`` stay
-    legal once ``d * base`` is added, and those that stabilize ``d * base``
-    stay legal on ``stable(lo) + d * base``, as added particles never make
-    a legal toppling illegal.  So by the abelian property (Dhar 1990)
-    stabilizing ``c`` completes a legal stabilization of ``x * base``, and
-    its ``stable``, ``score``, ``received`` and ``sink_absorbed`` are those
-    of ``stabilize(x * base)``.  A ``c`` that topples goes through
-    ``stabilize``, with the full audit; a ``c`` that is already stable,
-    every entry below its degree, topples nothing and is composed without
-    a stabilization, so ``engine_stats`` counts only the probes that
-    topple.
+    Each probe is built from the states ``(stable, score)`` the search
+    already holds: ``table`` maps the count 0 (the empty state) and every
+    count the doubling found failing to its state.  A probe at x takes the
+    state at the last failing count ``lo`` and adds the table's state at ``d
+    = x - lo``, or the raw placement ``(d * base, 0)`` when the table has
+    none: ``c = stable(lo) + stable(d)``, and the scores add.  This is
+    legal: the topplings that stabilize ``lo * base`` stay legal once ``d *
+    base`` is added, and those that stabilize ``d * base`` stay legal on
+    ``stable(lo) + d * base``, as added particles never make a legal
+    toppling illegal.  So by the abelian property (Dhar 1990) stabilizing
+    ``c`` completes a legal stabilization of ``x * base``, and its
+    ``stable`` and ``score`` are those of ``stabilize(x * base)``.  A ``c``
+    that topples goes through ``stabilize``, with the full audit; a ``c``
+    that is already stable, every entry below its degree, topples nothing
+    and is composed without a stabilization, so ``engine_stats`` counts only
+    the probes that topple.  A vertex has received a particle exactly when
+    it holds one or has toppled (``received = stable + degree * score``), so
+    the flood goal reads ``stable + score > 0``.
+
+    No ``stabilize`` audit sees the state at the answer whole, so one
+    ``_balance_check`` against ``x * base`` checks it, gives the result's
+    ``received`` and ``sink_absorbed``, and on failure raises
+    ``InternalError`` naming x.  ``engine_stats`` does not count it.
 
     The doubling fails at ``start * 2**i`` for i < k, so each of its
     increments, and each bisection increment down to ``start``, is in the
     table.  As the answer exceeds ``start * 2**(k - 1)``, those are fewer
-    than ``log2(x / start) + 2`` states, with the empty one, each three
+    than ``log2(x / start) + 2`` states, with the empty one, each two
     int64 vectors of m entries while the counts fit.  ``at_one``, a
     caller's ``stabilize(g, base)``, seeds the state at count 1, so that a
     search from ``start = 1`` composes its first probe.
@@ -632,31 +637,23 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
             )
     degree = g.degree.view(np.uint64)
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
-    table = {0: (zero, zero, zero, 0)}  # count -> (stable, score, received - stable, absorbed)
+    table = {0: (zero, zero)}  # count -> (stable, score)
     if at_one is not None:
-        table[1] = (at_one._stable, at_one._score, _counts(at_one._received - at_one._stable),
-                    at_one.sink_absorbed)
+        table[1] = (at_one._stable, at_one._score)
 
     def probe(x):
         d = x - lo
-        inc = table[d] if d in table else (_times(base, d), zero, zero, 0)
-        c = at_lo[0] + inc[0]
-        score, inflow = _counts(at_lo[1] + inc[1]), _counts(at_lo[2] + inc[2])
-        absorbed = at_lo[3] + inc[3]
+        inc = table[d] if d in table else (_times(base, d), zero)
+        c, score = at_lo[0] + inc[0], _counts(at_lo[1] + inc[1])
         # one unsigned compare reads 0 <= c < degree
         if c.dtype == np.int64 and (c.view(np.uint64) < degree).all():
             c = _counts(c)  # a degree past 2**62 lets a stable entry pass the bound
         else:
             step = stabilize(g, c)
-            c = step._stable
-            score = _counts(score + step._score)
-            inflow = _counts(inflow + (step._received - c))
-            absorbed += step.sink_absorbed
-        if goal == "topple":
-            done = score[targets].min() > 0
-        else:
-            done = (c[targets] + inflow[targets]).min() > 0
-        return (c, score, inflow, absorbed), done
+            c, score = step._stable, _counts(score + step._score)
+        # a vertex has received a particle exactly when it holds one or has toppled
+        reached = score[targets] if goal == "topple" else c[targets] + score[targets]
+        return (c, score), reached.min() > 0
 
     lo, hi, at_lo = 0, max(1, int(start)), table[0]
     best, done = probe(hi)
@@ -672,8 +669,10 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
             hi, best = mid, state
         else:
             lo, at_lo = mid, state
-    stable, score, inflow, absorbed = best
-    return hi, _result(stable, score, _counts(inflow + stable), absorbed)
+    checked = _balance_check(g, _times(base, hi), *best)
+    if checked is None:
+        raise InternalError(f"threshold search audit failed at count {hi} (Laplacian identity)")
+    return hi, _result(*best, *checked)
 
 
 def _counts(values):

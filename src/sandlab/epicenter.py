@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -176,7 +175,7 @@ def _staircase(p, q):
     step = 1 if dx > 0 else -1
     while x != q[0]:
         x_next = x + step
-        y_next = math.floor(Fraction(dy * (x_next - p[0]), dx) + p[1])
+        y_next = p[1] + dy * (x_next - p[0]) // dx  # exact floor, dx != 0
         while y != y_next:
             y += 1 if y_next > y else -1
             path.append((x, y))

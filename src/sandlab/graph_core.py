@@ -507,16 +507,15 @@ def strip_sandpile(k: int, n: int) -> SandpileGraph:
 
 def gen_family(kind: str, *params: int) -> SandpileGraph:
     """Dispatch to a named generator family: grid(n), line(n), strip(k, n)."""
-    if kind == "grid":
-        (n,) = params
-        return grid_sandpile(n)
-    if kind == "line":
-        (n,) = params
-        return line_sandpile(n)
-    if kind == "strip":
-        k, n = params
-        return strip_sandpile(k, n)
-    raise PreconditionError(f"unknown family {kind!r}")
+    makers = {"grid": grid_sandpile, "line": line_sandpile, "strip": strip_sandpile}
+    if kind not in makers:
+        raise PreconditionError(f"unknown family {kind!r}")
+    arity = 2 if kind == "strip" else 1
+    if len(params) != arity:
+        raise PreconditionError(
+            f"family {kind!r} takes {arity} size{'s' if arity > 1 else ''}, got {len(params)}"
+        )
+    return makers[kind](*params)
 
 
 def _csr(m: int, u, v, mult):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandlab import (
+    InternalError,
     Multigraph,
     PreconditionError,
     ResourceLimitError,
@@ -538,6 +539,51 @@ def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, poin
     assert all((c >= g.degree).any() for c in placed)
 
 
+@pytest.mark.parametrize("part", ["stable", "score"])
+def test_least_multiple_audits_the_answer_whole(monkeypatch, part):
+    # each probe that topples passes its own audit and is then forged: one
+    # particle moves from the first vertex that holds one to the next with
+    # room, so the state stays stable, or one toppling is added at the first
+    # vertex other than w that toppled.  The state the search composes at
+    # the answer fails the check against x * base
+    g = grid_sandpile(9)
+    v, w = g.vertex_at(2, 2), g.vertex_at(5, 4)
+    x = min_to_topple(g, v, w)
+    real, forged = engine_mod.stabilize, []
+
+    def forge(g_, counts):
+        res = real(g_, counts)
+        stable, score = res.stable.copy(), res.score.copy()
+        if part == "stable":
+            a = next(i for i, s in enumerate(stable) if s > 0)
+            b = next(i for i, s in enumerate(stable) if i != a and s < g_.degree[i] - 1)
+            stable[a] -= 1
+            stable[b] += 1
+        else:
+            score[next(i for i, z in enumerate(score) if z > 0 and i != w)] += 1
+        forged.append(dataclasses.replace(res, stable=stable, score=score))
+        return forged[-1]
+
+    monkeypatch.setattr(engine_mod, "stabilize", forge)
+    before = engine_stats()
+    # a moved particle changes later probes, and so where the search ends;
+    # a forged score off w changes no probe and no goal
+    named = r"\d+" if part == "stable" else str(x)
+    with pytest.raises(InternalError, match=rf"threshold search audit failed at count {named} "):
+        min_to_topple(g, v, w)
+    assert forged
+    # the answer's check is no stabilization audit, and it counts none
+    after = engine_stats()
+    assert after["identity_checks"] - before["identity_checks"] == len(forged)
+    assert after["identity_failures"] == before["identity_failures"]
+    # an answer composed with no stabilization passes the check
+    del forged[:]
+    assert flood_count(g, v, [v]) == 1
+    assert engine_mod._least_multiple(g, point_config(g, v, 1), [v], "flood") == (
+        1, stabilize(g, point_config(g, v, 1)))
+    assert not forged
+
+
 def test_results_list_their_arrays_on_first_read():
     cases = [
         (grid_sandpile(3), [5, 0, 1, 2, 7, 0, 3, 1, 4]),
@@ -574,6 +620,37 @@ def test_replace_overrides_a_result_list():
     assert bad != res
     assert json.loads(json.dumps(bad.to_json()))["stable"] == forged
     assert dataclasses.replace(res, received=[0] * 9).flooded([0]) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "ell", "line"]),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.integers(1, 5),
+    drop=st.integers(0, 300),
+    site=st.floats(0, 1, exclude_max=True),
+)
+@example(kind="grid", seed=0, top=1, drop=5, site=0.5)
+@example(kind="ell", seed=1, top=1, drop=9, site=0.0)
+@example(kind="line", seed=2, top=1, drop=0, site=0.0)
+def test_received_is_stable_plus_degree_times_score(kind, seed, top, drop, site):
+    # the balance identity read per vertex: a vertex has received a particle
+    # exactly when it holds one or has toppled, the flood goal of the searches
+    if kind == "grid":
+        g = grid_sandpile(6)
+    elif kind == "ell":
+        g = _window_interior(7, 7, _ELL)
+    else:
+        g = line_sandpile(6)
+    c = np.random.default_rng(seed).integers(0, top, size=g.n_ordinary).tolist()
+    # past 2**62 on the line: the object path
+    c[int(site * g.n_ordinary)] += (drop + 1) << 62 if kind == "line" else drop
+    res = stabilize(g, c)
+    if kind == "line":
+        assert res._received.dtype == object
+    triples = list(zip(res.stable, g.degree.tolist(), res.score))
+    assert res.received == [s + d * z for s, d, z in triples]
+    assert [r > 0 for r in res.received] == [s + z > 0 for s, _, z in triples]
 
 
 def test_received_counts_placement(grid2):

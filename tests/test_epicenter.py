@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,13 @@ def test_staircase_is_a_lattice_path(px, py, qx, qy):
     assert len(path) == abs(qx - px) + abs(qy - py) + 1
     for (ax, ay), (bx, by) in zip(path, path[1:]):
         assert abs(ax - bx) + abs(ay - by) == 1
+    # each hop of the dominant coordinate lands on the floor of the segment,
+    # as exact rational arithmetic reads it
+    if abs(qy - py) > abs(qx - px):
+        path, (px, py), (qx, qy) = [(y, x) for x, y in path], (py, px), (qy, qx)
+    for (ax, _), (bx, by) in zip(path, path[1:]):
+        if bx != ax:
+            assert by == math.floor(Fraction((qy - py) * (bx - px), qx - px) + py)
 
 
 # -- path classification ----------------------------------------------------

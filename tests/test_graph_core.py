@@ -129,6 +129,18 @@ def test_gen_family_dispatch():
         gen_family("hex", 3)
 
 
+@pytest.mark.parametrize("kind, sizes, message", [
+    ("strip", (3,), "family 'strip' takes 2 sizes, got 1"),
+    ("strip", (1, 2, 3), "family 'strip' takes 2 sizes, got 3"),
+    ("line", (3, 4), "family 'line' takes 1 size, got 2"),
+    ("grid", (), "family 'grid' takes 1 size, got 0"),
+])
+def test_gen_family_refuses_the_wrong_number_of_sizes(kind, sizes, message):
+    with pytest.raises(PreconditionError) as caught:
+        gen_family(kind, *sizes)
+    assert str(caught.value) == message
+
+
 def test_family_size_guards():
     with pytest.raises(PreconditionError):
         grid_sandpile(1)
