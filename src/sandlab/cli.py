@@ -292,8 +292,7 @@ def verify(graph_path, site, count, seed):
         high = 2 * g.degree.astype(np.uint64)
         config = [int(x) for x in rng.integers(0, high, dtype=np.uint64)]
     res = engine.stabilize(g, config)
-    checked = engine._balance_check(g, config, res.stable, res.score)
-    ok = checked is not None and checked[1] == res.sink_absorbed
+    ok = engine._balance_check(g, config, res.stable, res.score) == res
     click.echo(f"identity+conservation: {'PASS' if ok else 'FAIL'}")
     if not ok:
         raise PreconditionError("balance recheck failed")

@@ -23,33 +23,41 @@ exact worklist in Python ints: the named policy, or fifo for a batch run
 off lattice blocks or past that bound.  ``engine_stats`` counts
 stabilizations by the kernel that produced them.
 
-Every stabilization is closed out by one exact integer audit,
+Every engine outcome is closed out by one exact integer audit,
 ``_balance_check``, of
 
     final = initial - L^T * score      (L the sink-reduced Laplacian)
 
 with stability, nonnegativity and conservation of particles into the sink.
 It runs every check in int64 when a bound on the inputs rules out
-overflow, else in Python ints.  A failed audit raises ``InternalError``
-and is counted in ``engine_stats``; ``sandlab verify`` reruns it.
+overflow, else in Python ints, and it is the one place that builds a
+``StabilizationResult``: the audited outcome, or None.  In ``stabilize`` a
+None raises ``InternalError`` and is counted in ``engine_stats``;
+``sandlab verify`` reruns the audit and compares its result whole with the
+one ``stabilize`` returned.
 
 Every threshold answer in the package (``min_to_topple``,
 ``min_to_topple_uniform``, ``flood_count``, ``tcl_single_site`` and the
 searches of ``estimators`` and ``epicenter``) is the least multiple x of a
 base placement such that, in the stabilization of x times it, every vertex
 of a target set has toppled, or has received a particle.  One search,
-``_least_multiple``, takes the target set and that goal, and refuses a
-target that no multiple can reach.  Each probe's ``(stable, score)`` is
-built from stable states the search already holds: the state at the last
-failing count ``lo`` plus, when the doubling has found ``x - lo``
-failing, the state at ``x - lo``, else ``(x - lo)`` times the base.
+``_least_multiple``, takes the target set and that goal, a key of the
+``_GOALS`` table, which reads each goal from the targets' ``(stable,
+score)``.  It refuses a target that no multiple can reach, and raises
+``InternalError`` when a probe fails its goal although every vertex the
+placement reaches has toppled, so that no defect doubles without end.
+Each probe's ``(stable, score)`` is built from stable states the search
+already holds: the state at the last failing count ``lo`` plus, when the
+doubling has found ``x - lo`` failing, the state at ``x - lo``, else
+``(x - lo)`` times the base.
 Every legal toppling of either summand stays legal in their sum, so by
 the abelian property stabilizing the sum completes the stabilization of
 x times the base.  A sum that is already stable topples nothing and is
 composed without a stabilization, so ``engine_stats`` counts only the
 probes that topple.  The table of those doubling states, with the empty
-one, holds fewer than ``log2(x / start) + 2`` states.  The state at the
-answer is audited whole against x times the base.
+one, holds fewer than ``log2(x / start) + 2`` states.  The search closes
+out with the audit of the state at the answer against x times the base,
+which builds the result it returns.
 
 ``tcl_exact`` measures the transience class on small graphs: it collects
 the transient stable states reachable from empty and takes the longest
@@ -298,7 +306,13 @@ def stabilize(g: SandpileGraph, counts, policy: str = "batch", seed=None):
         path = "worklist"
         out = _stabilize_worklist(g, c0, "fifo" if policy == "batch" else policy, seed)
     _STATS[path] += 1
-    return _audit(g, c0, *out)
+    _STATS["stabilizations"] += 1
+    _STATS["identity_checks"] += 1
+    res = _balance_check(g, c0, *out)
+    if res is None:
+        _STATS["identity_failures"] += 1
+        raise InternalError("stabilization audit failed (Laplacian identity)")
+    return res
 
 
 class _Lattice(NamedTuple):
@@ -480,32 +494,20 @@ def _stabilize_worklist(g, c0, policy, seed):
     return _counts(c), _counts(z)
 
 
-def _audit(g, c0, stable, score):
-    """Close out a stabilization with the exact balance check, or raise."""
-    _STATS["stabilizations"] += 1
-    _STATS["identity_checks"] += 1
-    checked = _balance_check(g, c0, stable, score)
-    if checked is None:
-        _STATS["identity_failures"] += 1
-        raise InternalError("stabilization audit failed (Laplacian identity)")
-    return _result(stable, score, *checked)
-
-
-def _result(stable, score, received, absorbed):
-    """A ``StabilizationResult`` of ``_counts`` arrays, listed on first read."""
-    return StabilizationResult(stable, score, absorbed, _total(score), received)
-
-
 def _balance_check(g, c0, stable, score):
     """Exact integer check of final = initial - L^T score and conservation.
 
     Holds when ``stable`` is a stable, nonnegative outcome of ``c0`` under
     nonnegative toppling counts ``score``, and the particles lost, ``sum(c0
     - stable)``, are those sent to the sink, ``sum(sink_mult * score)``.
-    Returns ``(received, absorbed)`` when it holds, else None: the
-    per-vertex received counts (initial placement plus inflow) as a
-    ``_counts`` array, and the particles absorbed by the sink as an int.
-    The three vectors may be sequences or arrays.
+    Returns the audited ``StabilizationResult`` of ``(c0, stable, score)``
+    when it holds, else None; nothing else in the package builds one.  The three vectors
+    may be sequences or arrays.  The result keeps ``stable`` and ``score``
+    as ``_counts`` arrays (an array as it is given), with the received
+    counts (initial placement plus inflow) and the particles the sink
+    absorbed.  ``stabilize`` counts the check and raises on None, the
+    threshold search raises naming its count, and ``sandlab verify``
+    compares the result whole with the one it rechecks.
 
     Every check runs in one dtype.  It is int64 when the three vectors are
     int64 and, with m ordinary vertices and the entries of ``c0`` and
@@ -558,23 +560,32 @@ def _balance_check(g, c0, stable, score):
             or int(c.sum()) - int(s.sum()) != absorbed
         ):
             return None
-        return received, absorbed
-    c, s, z, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
-    received = c + g._inflow(z)
-    absorbed = int((mult * z).sum())
-    if (
-        np.count_nonzero(s != received - deg * z)
-        or s.min() < 0
-        or (deg - s).min() <= 0
-        or z.min() < 0
-        or int((c - s).sum()) != absorbed
-    ):
-        return None
-    return received, absorbed
+    else:
+        co, so, zo, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
+        received = co + g._inflow(zo)
+        absorbed = int((mult * zo).sum())
+        if (
+            np.count_nonzero(so != received - deg * zo)
+            or so.min() < 0
+            or (deg - so).min() <= 0
+            or zo.min() < 0
+            or int((co - so).sum()) != absorbed
+        ):
+            return None
+    return StabilizationResult(s, z, absorbed, _total(z), received)
 
 
 # ---------------------------------------------------------------------------
 # monotone threshold searches
+
+
+# the goals of ``_least_multiple``, each read from the targets' ``(stable,
+# score)``: a vertex has received a particle exactly when it holds one or has
+# toppled, as ``received = stable + degree * score``
+_GOALS = {
+    "topple": lambda stable, score: score.min() > 0,
+    "flood": lambda stable, score: (stable + score).min() > 0,
+}
 
 
 def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, *,
@@ -586,13 +597,18 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     Returns ``(x, result)`` with the ``StabilizationResult`` of that
     stabilization.  Doubles an upper bracket from ``start`` and then
     bisects: larger placements only add topplings, so the goal is monotone.
+    ``_GOALS[goal]`` reads the goal from the targets' ``(stable, score)``.
 
-    As x grows, a target comes to topple or receive exactly when it lies in
-    a sink-deleted component that holds a site of ``supp(base)``: the
+    As x grows, a vertex comes to topple exactly when it lies in a
+    sink-deleted component that holds a site of ``supp(base)``: the
     reduced Laplacian is block diagonal over those components, and its
-    inverse is positive on each block.  Any other target raises
-    ``PreconditionError`` before the first probe.  A lattice block is
-    connected, so it skips the check.
+    inverse is positive on each block.  A target outside them raises
+    ``PreconditionError`` before the first probe; on a lattice block, which
+    is connected, the placement reaches every vertex.  Once every vertex
+    the placement reaches has toppled, every target has toppled and
+    received a particle, so a doubling probe there that fails its goal is a
+    defect: it raises ``InternalError`` naming the goal and the count,
+    where the doubling would otherwise run without end.
 
     Each probe is built from the states ``(stable, score)`` the search
     already holds: ``table`` maps the count 0 (the empty state) and every
@@ -609,13 +625,11 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     that topples goes through ``stabilize``, with the full audit; a ``c``
     that is already stable, every entry below its degree, topples nothing
     and is composed without a stabilization, so ``engine_stats`` counts only
-    the probes that topple.  A vertex has received a particle exactly when
-    it holds one or has toppled (``received = stable + degree * score``), so
-    the flood goal reads ``stable + score > 0``.
+    the probes that topple.
 
-    No ``stabilize`` audit sees the state at the answer whole, so one
-    ``_balance_check`` against ``x * base`` checks it, gives the result's
-    ``received`` and ``sink_absorbed``, and on failure raises
+    No ``stabilize`` audit sees the state at the answer whole, so the
+    search closes out with ``_balance_check`` against ``x * base``, which
+    builds the returned result; a state that fails it raises
     ``InternalError`` naming x.  ``engine_stats`` does not count it.
 
     The doubling fails at ``start * 2**i`` for i < k, so each of its
@@ -624,13 +638,17 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     than ``log2(x / start) + 2`` states, with the empty one, each two
     int64 vectors of m entries while the counts fit.  ``at_one``, a
     caller's ``stabilize(g, base)``, seeds the state at count 1, so that a
-    search from ``start = 1`` composes its first probe.
+    search from ``start = 1`` composes its first probe.  It seeds count 1,
+    not count 0: every table state must be some ``stab(d * base)`` to serve
+    as an increment, and a seed at count 0 would put ``stab(seed + d *
+    base)`` there.
     """
     base = _counts(base)
     targets = np.asarray(targets, dtype=np.int64)
+    reach = slice(None)  # the vertices the placement reaches
     if g._block is None:
-        dist = g.ordinary_distances(np.flatnonzero(base))
-        unreached = targets[dist[targets] < 0]
+        reach = g.ordinary_distances(np.flatnonzero(base)) >= 0
+        unreached = targets[~reach[targets]]
         if unreached.size:
             raise PreconditionError(
                 f"target {unreached[0]} is unreachable from the placement without the sink"
@@ -651,13 +669,14 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
         else:
             step = stabilize(g, c)
             c, score = step._stable, _counts(score + step._score)
-        # a vertex has received a particle exactly when it holds one or has toppled
-        reached = score[targets] if goal == "topple" else c[targets] + score[targets]
-        return (c, score), reached.min() > 0
+        return (c, score), _GOALS[goal](c[targets], score[targets])
 
     lo, hi, at_lo = 0, max(1, int(start)), table[0]
     best, done = probe(hi)
     while not done:
+        if best[1][reach].min() > 0:
+            raise InternalError(f"search goal {goal!r} fails at count {hi} "
+                                "with every vertex the placement reaches toppled")
         table[hi] = best
         lo, hi, at_lo = hi, hi * 2, best
         best, done = probe(hi)
@@ -669,10 +688,10 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
             hi, best = mid, state
         else:
             lo, at_lo = mid, state
-    checked = _balance_check(g, _times(base, hi), *best)
-    if checked is None:
+    res = _balance_check(g, _times(base, hi), *best)
+    if res is None:
         raise InternalError(f"threshold search audit failed at count {hi} (Laplacian identity)")
-    return hi, _result(*best, *checked)
+    return hi, res
 
 
 def _counts(values):

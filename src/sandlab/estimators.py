@@ -279,14 +279,12 @@ def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
     for n, i, g, rng, v, r, _ in _draws("mv", family, sizes, samples, seed):
         ball = g.ordinary_ball(v, r)
         vol = g.ball_volume(ball)
-        forbidden = set(int(b) for b in ball)
-        for b in ball:
-            forbidden.update(u for u, _ in g.ordinary_neighbors(int(b)))
-        pool = [u for u in range(g.n_ordinary) if u not in forbidden]
-        if not pool or vol == 0:
+        # the pole lies outside the ball and its neighbours, ordinary_ball(v, r + 1)
+        pool = np.setdiff1d(np.arange(g.n_ordinary), g.ordinary_ball(v, r + 1))
+        if not pool.size or vol == 0:
             excluded += 1
             continue
-        w = pool[int(rng.integers(len(pool)))]
+        w = int(pool[int(rng.integers(len(pool)))])
         pi = solve_potential(g, w).values
         ratio = float(pi[ball].sum() / (pi[v] * vol))
         rows.append(SampleRow(family, n, i, v, r, None, ratio,

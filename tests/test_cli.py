@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -92,6 +93,19 @@ def test_verify_passes(grid2_path, capsys):
     assert capsys.readouterr().out.strip() == "identity+conservation: PASS"
     assert main(["verify", "--graph", grid2_path,
                  "--site", "1,1", "--count", "100"]) == 0
+
+
+def test_verify_compares_the_whole_result(grid2_path, capsys, monkeypatch):
+    # a result that passes the balance check but reports one toppling too many
+    real = sandlab.engine.stabilize
+
+    def off_by_one(g, counts):
+        res = real(g, counts)
+        return dataclasses.replace(res, topplings_total=res.topplings_total + 1)
+
+    monkeypatch.setattr(sandlab.engine, "stabilize", off_by_one)
+    assert main(["verify", "--graph", grid2_path, "--site", "1,1", "--count", "100"]) == 2
+    assert capsys.readouterr().out.strip() == "identity+conservation: FAIL"
 
 
 def test_verify_site_needs_count(grid2_path):

@@ -584,6 +584,33 @@ def test_least_multiple_audits_the_answer_whole(monkeypatch, part):
     assert not forged
 
 
+def _two_sink_joined_paths():
+    """Paths 0-1-2 and 3-4, each end joined to the sink 5: two sink-deleted
+    components, so a placement on one never topples the other."""
+    edges = [[0, 1, 1], [1, 2, 1], [3, 4, 1]] + [[v, 5, 1] for v in (0, 2, 3, 4)]
+    return graph_from_json({"n_vertices": 6, "sink": 5, "edges": edges})
+
+
+@pytest.mark.parametrize("case", ["stable_alone_grid9", "never_two_components"])
+def test_least_multiple_fails_a_goal_that_cannot_hold(monkeypatch, case):
+    # a goal that stays false however much is placed fails once every vertex
+    # the placement reaches has toppled, instead of doubling without end: the
+    # flood goal misread as ``stable > 0`` on grid 9, and a goal that never
+    # holds where the placement reaches only its own component
+    if case == "stable_alone_grid9":
+        g = grid_sandpile(9)
+        v = g.vertex_at(4, 4)
+        targets, mutant = g.ordinary_ball(v, 2), lambda stable, score: stable.min() > 0
+    else:
+        g, v, targets, mutant = _two_sink_joined_paths(), 0, [1], lambda stable, score: False
+    assert flood_count(g, v, targets) >= 1
+    monkeypatch.setitem(engine_mod._GOALS, "flood", mutant)
+    with pytest.raises(InternalError, match=r"search goal 'flood' fails at count \d+ ") as err:
+        flood_count(g, v, targets)
+    # within a few doublings: "search goal 'flood' fails at count x ..."
+    assert int(str(err.value).split()[6]) <= 1 << 12
+
+
 def test_results_list_their_arrays_on_first_read():
     cases = [
         (grid_sandpile(3), [5, 0, 1, 2, 7, 0, 3, 1, 4]),
@@ -665,15 +692,14 @@ def test_received_counts_placement(grid2):
 
 def _both_checks(g, c0, stable, score, absorbed):
     """The audit of the vectors as given and as object arrays, which force
-    the Python-int path: both must agree, and the received counts come
-    back when they accept and report ``absorbed``, else None."""
+    the Python-int path: both results must agree whole, and the received
+    counts come back when they accept and report ``absorbed``, else None."""
     fast = engine_mod._balance_check(g, c0, stable, score)
     exact = engine_mod._balance_check(
         g, *(np.array([int(x) for x in a], dtype=object) for a in (c0, stable, score))
     )
-    fast, exact = (None if r is None else (r[0].tolist(), r[1]) for r in (fast, exact))
     assert fast == exact
-    return None if fast is None or fast[1] != absorbed else fast[0]
+    return None if fast is None or fast.sink_absorbed != absorbed else fast.received
 
 
 @pytest.mark.parametrize("g", [grid_sandpile(3), grid_sandpile(6), line_sandpile(5),
@@ -689,7 +715,8 @@ def test_int64_audit_agrees_with_exact_audit(g):
     runs.append((point_config(g, v, 500), stabilize(g, point_config(g, v, 500))))
 
     for c, res in runs:
-        received, absorbed = engine_mod._balance_check(g, c, res.stable, res.score)
+        checked = engine_mod._balance_check(g, c, res.stable, res.score)
+        received, absorbed = checked._received, checked.sink_absorbed
         # small inputs take the int64 path
         assert received.dtype == np.int64
         assert received.tolist() == res.received
@@ -798,7 +825,8 @@ def test_int64_audit_bound_edge_takes_exact_path():
         res = stabilize(g, c)
         assert sum(res.stable) + res.sink_absorbed == n
         assert res._received.dtype == dtype
-        received, absorbed = engine_mod._balance_check(g, c, res.stable, res.score)
+        checked = engine_mod._balance_check(g, c, res.stable, res.score)
+        received, absorbed = checked._received, checked.sink_absorbed
         assert received.dtype == dtype
         assert absorbed == res.sink_absorbed
         again = _both_checks(g, c, res.stable, res.score, absorbed)

@@ -11,6 +11,8 @@ from sandlab import (
 )
 from sandlab.estimators import CSV_HEADER
 
+from test_engine import _swapped_grid5, _window_interior
+
 
 # one run spec shared by the frozen-value tests below
 GRID_SPEC = ("grid", [8, 16], 30, 0)
@@ -80,6 +82,23 @@ def test_mv_pole_outside_forbidden_zone():
         for b in ball:
             near.update(u for u, _ in g.ordinary_neighbors(b))
         assert row.aux["pole"] not in near
+
+
+@pytest.mark.parametrize("shape", ["lshape", "swapped_grid5"])
+def test_ball_one_wider_is_the_ball_and_its_neighbours(shape):
+    # estimate_mv draws its pole outside ordinary_ball(v, r + 1)
+    if shape == "lshape":
+        ell = [(x, y) for x in range(1, 5) for y in range(1, 5) if x > 2 or y < 3]
+        g = _window_interior(6, 6, ell)
+    else:
+        g = _swapped_grid5(1, 2)
+    for v in range(g.n_ordinary):
+        for r in range(4):
+            ball = g.ordinary_ball(v, r).tolist()
+            near = set(ball)
+            for b in ball:
+                near.update(u for u, _ in g.ordinary_neighbors(b))
+            assert g.ordinary_ball(v, r + 1).tolist() == sorted(near)
 
 
 def test_mv_summary_is_min_per_size():

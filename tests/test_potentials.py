@@ -438,8 +438,7 @@ def test_weak_duality_sampled(grid8):
 
 
 def _rechecks(g, res, c):
-    checked = engine_mod._balance_check(g, c, res.stable, res.score)
-    return checked is not None and checked[1] == res.sink_absorbed
+    return engine_mod._balance_check(g, c, res.stable, res.score) == res
 
 
 def test_verify_identity_accepts_real_runs(grid4):
@@ -450,7 +449,7 @@ def test_verify_identity_accepts_real_runs(grid4):
         assert _rechecks(grid4, res, c)
 
 
-def test_verify_identity_rejects_tampering(grid2):
+def test_verify_identity_rejects_tampering(grid2, monkeypatch):
     c = point_config(grid2, 3, 30)
     res = stabilize(grid2, c)
     assert _rechecks(grid2, res, c)
@@ -464,8 +463,11 @@ def test_verify_identity_rejects_tampering(grid2):
     )
     assert not _rechecks(grid2, bad_score, c)
     failures = engine_mod.engine_stats()["identity_failures"]
+    # the stencil kernel hands the forged vectors to the audit inside stabilize
+    forged = (bad_score._stable, bad_score._score)
+    monkeypatch.setattr(engine_mod, "_stabilize_lattice", lambda *_: forged)
     with pytest.raises(InternalError, match="audit failed"):
-        engine_mod._audit(grid2, c, bad_score.stable, bad_score.score)
+        stabilize(grid2, c)
     assert engine_mod.engine_stats()["identity_failures"] == failures + 1
 
     bad_absorbed = res.__class__(
