@@ -94,12 +94,9 @@ def cli():
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen(family, n, k, output):
     """Generate a family member and write its graph JSON."""
-    if family == "strip":
-        if k is None:
-            raise PreconditionError("strip needs --k")
-        g = graph_core.strip_sandpile(k, n)
-    else:
-        g = graph_core.gen_family(family, n)
+    if family == "strip" and k is None:
+        raise PreconditionError("strip needs --k")
+    g = graph_core.gen_family(family, *((k, n) if family == "strip" else (n,)))
     try:
         graph_core.save_graph(g, output)
     except OSError as exc:

@@ -46,22 +46,24 @@ of a target set has toppled, or has received a particle.  One search,
 score)``.  It refuses a target that no multiple can reach, and raises
 ``InternalError`` when a probe fails its goal although every vertex the
 placement reaches has toppled, so that no defect doubles without end.
-Each probe's ``(stable, score)`` is built from stable states the search
-already holds: the state at the last failing count ``lo`` plus, when the
-doubling has found ``x - lo`` failing, the state at ``x - lo``, else
-``(x - lo)`` times the base.
-Every legal toppling of either summand stays legal in their sum, so by
-the abelian property stabilizing the sum completes the stabilization of
-x times the base.  A sum that is already stable topples nothing and is
-composed without a stabilization, so ``engine_stats`` counts only the
-probes that topple.  The table of those doubling states, with the empty
-one, holds fewer than ``log2(x / start) + 2`` states.  The search closes
-out with the audit of the state at the answer against x times the base,
-which builds the result it returns.
+The search doubles from 1 and then bisects.  Each probe's ``(stable,
+score)`` is built from stable states the search already holds: the state
+at the last failing count ``lo`` plus the state at ``x - lo``, a power of
+two that the doubling has found failing, or at the first probe the
+placement itself.  Every legal toppling of either summand stays legal in
+their sum, so by the abelian property stabilizing the sum completes the
+stabilization of x times the base.  A sum that is already stable topples
+nothing and is composed without a stabilization, so ``engine_stats``
+counts only the probes that topple.  The table of those doubling states,
+with the empty one, holds fewer than ``log2(x) + 2`` states.  The search
+closes out with the audit of the state at the answer against x times the
+base, which builds the result it returns.
 
 ``tcl_exact`` measures the transience class on small graphs: it collects
 the transient stable states reachable from empty and takes the longest
-addition chain over them in topological order.
+addition chain over them in topological order.  By the same rule, a
+particle added to a stable state is stabilized only where it brings its
+site to the degree.
 
 Counts pass between the kernels, the audit and the threshold searches as
 ``_counts`` arrays: int64 while every entry is below 2**62, Python ints in
@@ -588,15 +590,14 @@ _GOALS = {
 }
 
 
-def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, *,
-                    at_one=None):
+def _least_multiple(g: SandpileGraph, base, targets, goal: str, *, at_one=None):
     """Least x >= 1 such that, in the stabilization of ``x * base``, every
     vertex of ``targets`` has toppled (``goal="topple"``: score >= 1) or
     received a particle (``goal="flood"``: received >= 1).
 
     Returns ``(x, result)`` with the ``StabilizationResult`` of that
-    stabilization.  Doubles an upper bracket from ``start`` and then
-    bisects: larger placements only add topplings, so the goal is monotone.
+    stabilization.  Doubles an upper bracket from 1 and then bisects:
+    larger placements only add topplings, so the goal is monotone.
     ``_GOALS[goal]`` reads the goal from the targets' ``(stable, score)``.
 
     As x grows, a vertex comes to topple exactly when it lies in a
@@ -611,15 +612,17 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     where the doubling would otherwise run without end.
 
     Each probe is built from the states ``(stable, score)`` the search
-    already holds: ``table`` maps the count 0 (the empty state) and every
-    count the doubling found failing to its state.  A probe at x takes the
-    state at the last failing count ``lo`` and adds the table's state at ``d
-    = x - lo``, or the raw placement ``(d * base, 0)`` when the table has
-    none: ``c = stable(lo) + stable(d)``, and the scores add.  This is
+    already holds: ``table`` maps the count 0 to the empty state, the
+    count 1 to the raw placement ``(base, 0)`` (or ``at_one``), and every
+    count the doubling found failing to its state, which replaces the raw
+    placement once the probe at 1 fails.  A probe at x takes the state at
+    the last failing count ``lo`` and adds the table's state at ``d = x -
+    lo``: ``c = stable(lo) + stable(d)``, and the scores add.  This is
     legal: the topplings that stabilize ``lo * base`` stay legal once ``d *
     base`` is added, and those that stabilize ``d * base`` stay legal on
     ``stable(lo) + d * base``, as added particles never make a legal
-    toppling illegal.  So by the abelian property (Dhar 1990) stabilizing
+    toppling illegal; the raw placement is a legal state with no
+    topplings yet.  So by the abelian property (Dhar 1990) stabilizing
     ``c`` completes a legal stabilization of ``x * base``, and its
     ``stable`` and ``score`` are those of ``stabilize(x * base)``.  A ``c``
     that topples goes through ``stabilize``, with the full audit; a ``c``
@@ -632,16 +635,16 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
     builds the returned result; a state that fails it raises
     ``InternalError`` naming x.  ``engine_stats`` does not count it.
 
-    The doubling fails at ``start * 2**i`` for i < k, so each of its
-    increments, and each bisection increment down to ``start``, is in the
-    table.  As the answer exceeds ``start * 2**(k - 1)``, those are fewer
-    than ``log2(x / start) + 2`` states, with the empty one, each two
-    int64 vectors of m entries while the counts fit.  ``at_one``, a
-    caller's ``stabilize(g, base)``, seeds the state at count 1, so that a
-    search from ``start = 1`` composes its first probe.  It seeds count 1,
-    not count 0: every table state must be some ``stab(d * base)`` to serve
-    as an increment, and a seed at count 0 would put ``stab(seed + d *
-    base)`` there.
+    The doubling fails at 1, 2, ..., ``2**(k - 1)`` and stores each of
+    them, and bisection on ``[2**(k - 1), 2**k]`` keeps ``hi - lo`` a power
+    of two, so every increment is a stored power of two.  As the answer
+    exceeds ``2**(k - 1)``, those are fewer than ``log2(x) + 2`` states,
+    with the empty one, each two int64 vectors of m entries while the
+    counts fit.  ``at_one``, a caller's ``stabilize(g, base)``, seeds the
+    state at count 1, so that the first probe is composed.  It seeds count
+    1, not count 0: every table state must be some ``stab(d * base)`` to
+    serve as an increment, and a seed at count 0 would put ``stab(seed + d
+    * base)`` there.
     """
     base = _counts(base)
     targets = np.asarray(targets, dtype=np.int64)
@@ -655,13 +658,11 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
             )
     degree = g.degree.view(np.uint64)
     zero = np.zeros(g.n_ordinary, dtype=np.int64)
-    table = {0: (zero, zero)}  # count -> (stable, score)
-    if at_one is not None:
-        table[1] = (at_one._stable, at_one._score)
+    one = (base, zero) if at_one is None else (at_one._stable, at_one._score)
+    table = {0: (zero, zero), 1: one}  # count -> (stable, score)
 
     def probe(x):
-        d = x - lo
-        inc = table[d] if d in table else (_times(base, d), zero)
+        inc = table[x - lo]
         c, score = at_lo[0] + inc[0], _counts(at_lo[1] + inc[1])
         # one unsigned compare reads 0 <= c < degree
         if c.dtype == np.int64 and (c.view(np.uint64) < degree).all():
@@ -671,7 +672,7 @@ def _least_multiple(g: SandpileGraph, base, targets, goal: str, start: int = 1, 
             c, score = step._stable, _counts(score + step._score)
         return (c, score), _GOALS[goal](c[targets], score[targets])
 
-    lo, hi, at_lo = 0, max(1, int(start)), table[0]
+    lo, hi, at_lo = 0, 1, table[0]
     best, done = probe(hi)
     while not done:
         if best[1][reach].min() > 0:
@@ -729,7 +730,7 @@ def min_to_topple(g: SandpileGraph, v: int, w: int) -> int:
     if w == g.sink:
         raise PreconditionError("the sink never topples")
     g.check_ordinary(w, "target")
-    x, _ = _least_multiple(g, point_config(g, v, 1), [w], "topple", int(g.degree[w]))
+    x, _ = _least_multiple(g, point_config(g, v, 1), [w], "topple")
     return x
 
 
@@ -745,13 +746,7 @@ def min_to_topple_uniform(g: SandpileGraph, sites, w: int) -> UniformThreshold:
     if w == g.sink:
         raise PreconditionError("the sink never topples")
     g.check_ordinary(w, "target")
-    h, _ = _least_multiple(
-        g,
-        uniform_config(g, sites, 1),
-        [w],
-        "topple",
-        int(g.degree[w]) if len(sites) == 1 else 1,
-    )
+    h, _ = _least_multiple(g, uniform_config(g, sites, 1), [w], "topple")
     return UniformThreshold(h_topple=h, h_no_topple=h - 1)
 
 
@@ -835,7 +830,7 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
     """Longest transient addition chain from the empty configuration.
 
     Explores the stable-state transition graph (add one particle anywhere,
-    stabilize).  Additions whose result is recurrent are not counted; the
+    stabilize; only a site brought to its degree topples).  Additions whose result is recurrent are not counted; the
     value is the largest number of additions that keeps every intermediate
     stable configuration transient.  The transient states reachable from
     empty are taken in topological order, successors first, and each gets
@@ -853,7 +848,9 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
     if recurrent(empty):
         return TclResult(value=0, mode="exact", witness=[])
 
-    # transient state -> its stabilized successor per site, None where recurrent
+    # transient state -> its stabilized successor per site, None where recurrent;
+    # a particle added to a stable state topples only where it reaches the degree
+    degree = g.degree.tolist()
     successors: dict[tuple, list] = {}
     todo = [empty]
     while todo:
@@ -864,7 +861,7 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
         for site in range(m):
             c = list(state)
             c[site] += 1
-            after = tuple(stabilize(g, c).stable)
+            after = tuple(stabilize(g, c).stable) if c[site] == degree[site] else tuple(c)
             nxt.append(None if recurrent(after) else after)
         successors[state] = nxt
         todo += [t for t in nxt if t is not None and t not in successors]
@@ -896,7 +893,5 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
 def tcl_single_site(g: SandpileGraph, v: int) -> TclResult:
     """Least count at ``v`` whose stabilization topples every vertex."""
     g.check_ordinary(v, "site")
-    value, _ = _least_multiple(
-        g, point_config(g, v, 1), np.arange(g.n_ordinary), "topple", int(g.degree[v])
-    )
+    value, _ = _least_multiple(g, point_config(g, v, 1), np.arange(g.n_ordinary), "topple")
     return TclResult(value=value, mode="single_site", witness=int(v))

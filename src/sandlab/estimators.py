@@ -372,7 +372,7 @@ def estimate_op(family, sizes, samples, seed) -> EstimateReport:
         outer = int(rng.integers(r, cap + 1))
         sources = g.ordinary_ball(v, r)
         targets = g.ordinary_ball(v, outer)
-        fhat, _ = _least_multiple(g, uniform_config(g, sources, 1), targets, "topple", dmax)
+        fhat, _ = _least_multiple(g, uniform_config(g, sources, 1), targets, "topple")
         ratio = outer / r
         rows.append(SampleRow(family, n, i, v, r, outer, int(fhat)))
         key = round(ratio, 9)

@@ -296,11 +296,11 @@ def brute_least_multiple(g, base, done, limit=5000):
     raise AssertionError(f"no multiple up to {limit}")
 
 
-def bisect_probes(g, base, done, start=1):
+def bisect_probes(g, base, done):
     """Probes of a from-scratch bracket-and-bisect search for the least
     x >= 1 whose stabilization of x * base satisfies ``done``: doubling
-    from ``start``, then bisection.  Returns (x, passed, stable) per probe
-    in order, each stabilized naively from x * base."""
+    from 1, then bisection.  Returns (x, passed, stable) per probe in
+    order, each stabilized naively from x * base."""
     probes = []
 
     def probe(x):
@@ -308,7 +308,7 @@ def bisect_probes(g, base, done, start=1):
         probes.append((x, bool(done(out)), out.stable))
         return probes[-1][1]
 
-    lo, hi = 0, max(1, start)
+    lo, hi = 0, 1
     while not probe(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:

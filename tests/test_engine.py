@@ -345,10 +345,11 @@ def _goal(targets, goal):
     ("line", 5, {2: 2}, [0], "topple", 64),
 ])
 def test_least_multiple_returns_its_stabilization(family, n, placement, targets, goal, start):
+    # ``start`` starts the from-scratch reference search; the search doubles from 1
     g = grid_sandpile(n) if family == "grid" else line_sandpile(n)
     base = [placement.get(v, 0) for v in range(g.n_ordinary)]
     done = _goal(targets, goal)
-    x, res = engine_mod._least_multiple(g, base, targets, goal, start)
+    x, res = engine_mod._least_multiple(g, base, targets, goal)
     fresh = stabilize(g, [x * c for c in base])
     assert res.stable == fresh.stable
     assert res.score == fresh.score
@@ -357,9 +358,10 @@ def test_least_multiple_returns_its_stabilization(family, n, placement, targets,
     assert done(res)
     assert not done(stabilize(g, [(x - 1) * c for c in base]))
     assert x == oracles.brute_least_multiple(g, base, done)
+    assert x == _scratch_least_multiple(g, base, done, start)[0]
 
 
-def _scratch_least_multiple(g, base, done, start):
+def _scratch_least_multiple(g, base, done, start=1):
     """Bracket-and-bisect that stabilizes ``x * base`` from scratch per probe."""
     lo, hi = 0, start
     best = stabilize(g, [hi * c for c in base])
@@ -383,18 +385,18 @@ def _heavy_pair():
     return SandpileGraph(Multigraph(3, [(0, 1, 1), (0, 2, heavy), (1, 2, heavy)]), 2)
 
 
-@pytest.mark.parametrize("make, placement, targets, goal, start", [
-    (lambda: line_sandpile(40), {0: 1}, range(40), "topple", 4),
-    (lambda: line_sandpile(60), {10: 1}, range(60), "topple", 4),
-    (lambda: line_sandpile(50), {0: 1, 3: 2}, [49], "flood", 1),
-    (_heavy_pair, {0: 1}, [1], "topple", 1),
+@pytest.mark.parametrize("make, placement, targets, goal", [
+    (lambda: line_sandpile(40), {0: 1}, range(40), "topple"),
+    (lambda: line_sandpile(60), {10: 1}, range(60), "topple"),
+    (lambda: line_sandpile(50), {0: 1, 3: 2}, [49], "flood"),
+    (_heavy_pair, {0: 1}, [1], "topple"),
 ], ids=["line40-end", "line60-interior", "line50-flood", "heavy-pair"])
 def test_least_multiple_past_int64_matches_a_from_scratch_search(make, placement, targets,
-                                                                  goal, start):
+                                                                  goal):
     g = make()
     base = [placement.get(v, 0) for v in range(g.n_ordinary)]
-    x, res = engine_mod._least_multiple(g, base, targets, goal, start)
-    want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal), start)
+    x, res = engine_mod._least_multiple(g, base, targets, goal)
+    want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal))
     assert x == want_x
     assert res == want
     # the search ran through counts that int64 cannot hold
@@ -433,19 +435,19 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
     g = grid_sandpile(9)
     v, w = g.vertex_at(2, 2), g.vertex_at(5, 4)
     if search == "point":
-        base, done, start = point_config(g, v, 1), _goal([w], "topple"), int(g.degree[w])
+        base, done = point_config(g, v, 1), _goal([w], "topple")
         run = lambda: min_to_topple(g, v, w)  # noqa: E731
     elif search == "uniform":
         sites = g.ordinary_ball(v, 1)
-        base, done, start = uniform_config(g, sites, 1), _goal([w], "topple"), 1
+        base, done = uniform_config(g, sites, 1), _goal([w], "topple")
         run = lambda: min_to_topple_uniform(g, sites, w).h_topple  # noqa: E731
     elif search == "flood":
         ball = g.ordinary_ball(v, 2)
-        base, done, start = point_config(g, v, 1), _goal(ball, "flood"), 1
+        base, done = point_config(g, v, 1), _goal(ball, "flood")
         run = lambda: flood_count(g, v, ball)  # noqa: E731
     else:
         every = range(g.n_ordinary)
-        base, done, start = point_config(g, v, 1), _goal(every, "topple"), int(g.degree[v])
+        base, done = point_config(g, v, 1), _goal(every, "topple")
         run = lambda: tcl_single_site(g, v).value  # noqa: E731
     calls = []
     real = engine_mod.stabilize
@@ -456,18 +458,17 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
 
     monkeypatch.setattr(engine_mod, "stabilize", spy)
     answer = run()
-    want = oracles.bisect_probes(g, base, done, start)
+    want = oracles.bisect_probes(g, base, done)
     assert answer == min(x for x, passed, _ in want if passed)
-    # a probe at x places stable(lo) + stable(x - lo) when the doubling has
-    # found x - lo failing, else stable(lo) + (x - lo) * base
+    # a probe at x places stable(lo) + table[x - lo]: the table holds the
+    # empty state, the raw placement at count 1 until the probe at 1 fails,
+    # and every failing doubling count
     lo, stable_lo = 0, [0] * g.n_ordinary
-    failing = {0: stable_lo}  # the failing doubling counts, and the empty state
+    table = {0: stable_lo, 1: list(base)}
     growing, reused = True, 0
     made = iter(calls)
     for x, passed, stable in want:
-        d = x - lo
-        increment = failing.get(d, [d * b for b in base])
-        counts = [s + t for s, t in zip(stable_lo, increment)]
+        counts = [s + t for s, t in zip(stable_lo, table[x - lo])]
         if all(c < deg for c, deg in zip(counts, g.degree.tolist())):
             # a stable input topples nothing: composed, not stabilized
             assert stable == counts
@@ -475,15 +476,88 @@ def test_least_multiple_probes_reuse_the_last_failing_state(monkeypatch, search)
             made_counts, step = next(made)
             assert made_counts == counts
             assert step.stable == stable
-            reused += d > 0 and d in failing
+            reused += lo > 0  # a stored stabilization, not the raw placement
         growing = growing and not passed
         if growing:
-            failing[x] = stable
+            table[x] = stable
         if not passed:
             lo, stable_lo = x, stable
     assert next(made, None) is None
     assert lo == answer - 1
     assert reused >= 1
+
+
+def _odd_degree_path():
+    """A path 0-1-2-3 with sink 4 and multiplicities that give the degrees 3,
+    5, 6 and 7, none a power of two."""
+    edges = [[0, 1, 1], [1, 2, 2], [2, 3, 1], [0, 4, 2], [1, 4, 2], [2, 4, 3], [3, 4, 6]]
+    return graph_from_json({"n_vertices": 5, "sink": 4, "edges": edges})
+
+
+def test_searches_from_one_match_brute_force_at_degrees_off_powers_of_two():
+    # no degree is a power of two, so a search bracketed from a degree would
+    # bisect here with increments the doubling never stored
+    g = _odd_degree_path()
+    assert g.degree.tolist() == [3, 5, 6, 7]
+    every = _goal(range(4), "topple")
+    for v in range(4):
+        base = point_config(g, v, 1)
+        for w in range(4):
+            want = oracles.brute_least_multiple(g, base, _goal([w], "topple"))
+            assert min_to_topple(g, v, w) == want
+            assert min_to_topple_uniform(g, [v], w) == UniformThreshold(want, want - 1)
+        assert tcl_single_site(g, v).value == oracles.brute_least_multiple(g, base, every)
+
+
+def _probed_counts(monkeypatch, g, goal, base, run):
+    """``(x, passed)`` per probe of the search that ``run`` makes over every
+    vertex, x read back from the probe's state by conservation: x * sum(base)
+    is what the ordinary vertices hold plus what the sink absorbed."""
+    real, probes = engine_mod._GOALS[goal], []
+    sink_mult, placed = g.sink_mult.astype(object), sum(base)
+
+    def spy(stable, score):
+        held = int(stable.astype(object).sum() + (sink_mult * score.astype(object)).sum())
+        assert held % placed == 0
+        probes.append((held // placed, bool(real(stable, score))))
+        return probes[-1][1]
+
+    monkeypatch.setitem(engine_mod._GOALS, goal, spy)
+    return run(), probes
+
+
+@pytest.mark.parametrize("graph, v", [
+    ("odd", 0), ("odd", 1), ("odd", 2), ("odd", 3),
+    ("grid5", 0), ("grid5", 12), ("line8", 3),
+])
+@pytest.mark.parametrize("goal", ["topple", "flood"])
+def test_least_multiple_doubles_from_one_over_stored_powers_of_two(monkeypatch, graph, v,
+                                                                    goal):
+    # the probes are 1, 2, 4, ... up to the first passing count 2**k, then
+    # bisection midpoints on [2**(k - 1), 2**k], each x - lo a failing
+    # doubling count, so the table holds every increment
+    g = {"odd": _odd_degree_path, "grid5": lambda: grid_sandpile(5),
+         "line8": lambda: line_sandpile(8)}[graph]()
+    base = point_config(g, v, 1)
+    if goal == "topple":
+        run = lambda: tcl_single_site(g, v).value  # noqa: E731
+    else:
+        run = lambda: flood_count(g, v, range(g.n_ordinary))  # noqa: E731
+    answer, probes = _probed_counts(monkeypatch, g, goal, base, run)
+    passed = dict(probes)
+    assert len(passed) == len(probes)  # no count probed twice
+    lo, hi, want, stored = 0, 1, [1], set()
+    while not passed[hi]:
+        stored.add(hi)
+        lo, hi = hi, 2 * hi
+        want.append(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        assert mid - lo in stored
+        want.append(mid)
+        lo, hi = (lo, mid) if passed[mid] else (mid, hi)
+    assert [x for x, _ in probes] == want
+    assert answer == hi
 
 
 # an L-shaped region of a 7 x 7 window: not a lattice block, degrees 4
@@ -508,9 +582,9 @@ _ELL = [(x, y) for x in range(1, 6) for y in range(1, 6) if x > 3 or y < 3]
          start=2)
 def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, point, targets,
                                                        goal, start):
-    # the search equals a from-scratch bracket-and-bisect over stabilize(x * base),
-    # with or without the stabilization of 1 * base as its seed, and it sends
-    # no stable configuration through stabilize
+    # the search equals a from-scratch bracket-and-bisect over stabilize(x * base)
+    # from ``start``, with or without the stabilization of 1 * base as its
+    # seed, and it sends no stable configuration through stabilize
     g = strip_sandpile(*shape) if shape else _window_interior(7, 7, _ELL)
     m = g.n_ordinary
     picked = sorted({int(f * m) for f in sites})
@@ -528,9 +602,8 @@ def test_least_multiple_composes_stable_probes_exactly(shape, sites, count, poin
 
     one = stabilize(g, base)
     with mock.patch.object(engine_mod, "stabilize", spy):
-        x, res = engine_mod._least_multiple(g, base, targets, goal, start)
-        seeded_x, seeded = engine_mod._least_multiple(g, base, targets, goal, start,
-                                                      at_one=one)
+        x, res = engine_mod._least_multiple(g, base, targets, goal)
+        seeded_x, seeded = engine_mod._least_multiple(g, base, targets, goal, at_one=one)
     want_x, want = _scratch_least_multiple(g, base, _goal(targets, goal), start)
     assert x == seeded_x == want_x
     fields = ("stable", "score", "received", "sink_absorbed", "topplings_total")
@@ -875,6 +948,33 @@ def test_tcl_exact_pins_its_witnesses(grid2):
     assert (res.value, res.witness) == (8, [0, 0, 0, 0, 1, 1, 1, 1])
     res = tcl_exact(line_sandpile(4))
     assert (res.value, res.witness) == (19, [0] * 19)
+    res = tcl_exact(line_sandpile(6))
+    assert (res.value, res.witness) == (284, [0] * 284)
+    res = tcl_exact(strip_sandpile(2, 3))
+    assert (res.value, res.witness) == (30, [0] * 15 + [3] * 15)
+
+
+@pytest.mark.parametrize("make", [lambda: grid_sandpile(2), lambda: line_sandpile(4)],
+                         ids=["grid2", "line4"])
+def test_tcl_exact_stabilizes_only_transitions_that_topple(monkeypatch, make):
+    # a particle added to a stable state topples only at a site it brings to
+    # its degree; every other successor is the state plus that particle.  The
+    # burning tests run in the oracle, so the spy sees the transitions alone
+    g = make()
+    want = tcl_exact(g)
+    placed, real = [], engine_mod.stabilize
+
+    def spy(g_, counts):
+        placed.append(list(counts))
+        return real(g_, counts)
+
+    monkeypatch.setattr(engine_mod, "is_recurrent", oracles.naive_is_recurrent)
+    monkeypatch.setattr(engine_mod, "stabilize", spy)
+    res = tcl_exact(g)
+    assert (res.value, res.witness) == (want.value, want.witness)
+    assert placed
+    degree = g.degree.tolist()
+    assert all(any(c >= d for c, d in zip(counts, degree)) for counts in placed)
 
 
 def test_tcl_state_limit(grid2):
