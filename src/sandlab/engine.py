@@ -503,17 +503,18 @@ def _balance_check(g, c0, stable, score):
     nonnegative toppling counts ``score``, and the particles lost, ``sum(c0
     - stable)``, are those sent to the sink, ``sum(sink_mult * score)``.
     Returns the audited ``StabilizationResult`` of ``(c0, stable, score)``
-    when it holds, else None; nothing else in the package builds one.  The three vectors
-    may be sequences or arrays.  The result keeps ``stable`` and ``score``
-    as ``_counts`` arrays (an array as it is given), with the received
-    counts (initial placement plus inflow) and the particles the sink
-    absorbed.  ``stabilize`` counts the check and raises on None, the
-    threshold search raises naming its count, and ``sandlab verify``
-    compares the result whole with the one it rechecks.
+    when it holds, else None; nothing else in the package builds one.  The
+    three vectors may be sequences or arrays.  The result keeps the given
+    ``stable`` and ``score`` as ``_counts`` arrays (an array as it is
+    given), never a cast of them, with the received counts (initial
+    placement plus inflow) and the particles the sink absorbed.
+    ``stabilize`` counts the check and raises on None, the threshold search
+    raises naming its count, and ``sandlab verify`` compares the result
+    whole with the one it rechecks.
 
-    Every check runs in one dtype.  It is int64 when the three vectors are
-    int64 and, with m ordinary vertices and the entries of ``c0`` and
-    ``score`` read as unsigned,
+    One body runs every check, in one dtype chosen first.  It is int64 when
+    the three vectors are int64 and, with m ordinary vertices and the
+    entries of ``c0`` and ``score`` read as unsigned,
 
         max(score) * 2 * max(degree) + m * max(c0)  <  2**62
 
@@ -522,24 +523,25 @@ def _balance_check(g, c0, stable, score):
     or a negative initial count, takes the Python-int path, which rejects
     the one and reads the other exactly.  Under the bound every entry of
     ``received`` and of ``degree * score`` lies in [0, 2**62).  Inputs past
-    it, such as the line family's counts, run each check on object arrays
-    of Python ints.
+    it, such as the line family's counts, run on object arrays of Python
+    ints, where every operation is exact.  The dtype picks only the range
+    test; the balance and conservation checks are the same operations:
 
-    In int64 the checks take a few fused passes:
-
-    - balance: ``degree * score - received + stable`` is zero.  Its first
-      two terms differ by less than 2**62, so its true value lies within
-      2**63 + 2**62 of 0 whatever ``stable`` holds, and int64 addition is
-      exact modulo 2**64: the computed sum is zero exactly when the true
-      one is, also where adding ``stable`` wraps.
-    - range: ``stable`` read as unsigned is below ``degree``, which is
-      ``0 <= stable < degree`` in one compare, as every degree is below
-      2**63.
+    - balance: ``degree * score - received + stable`` is zero.  In int64
+      its first two terms differ by less than 2**62, so its true value
+      lies within 2**63 + 2**62 of 0 whatever ``stable`` holds, and int64
+      addition is exact modulo 2**64: the computed sum is zero exactly when
+      the true one is, also where adding ``stable`` wraps.
+    - range: in int64, ``stable`` read as unsigned is below ``degree``,
+      which is ``0 <= stable < degree`` in one compare, as every degree is
+      below 2**63.  In Python ints, ``score >= 0``, ``stable >= 0`` and
+      ``degree - stable > 0``.
     - conservation: ``sum(c0) - sum(stable)`` equals ``np.dot(sink_mult,
-      score)``.  Once the balance and the range hold, ``sum(stable) =
-      sum(c0) - sum(sink_mult * score)`` lies in [0, sum(c0)], so the left
-      side is exact, and the dot, which may wrap, is exact modulo 2**64: the
-      two agree exactly when the true sums do, and ``absorbed`` is exact.
+      score)``.  In int64, once the balance and the range hold,
+      ``sum(stable) = sum(c0) - sum(sink_mult * score)`` lies in [0,
+      sum(c0)], so the left side is exact, and the dot, which may wrap, is
+      exact modulo 2**64: the two agree exactly when the true sums do, and
+      ``absorbed`` is exact.
     """
     c, s, z = (x if isinstance(x, np.ndarray) else _counts(x) for x in (c0, stable, score))
     m = g.n_ordinary
@@ -550,30 +552,19 @@ def _balance_check(g, c0, stable, score):
         int(z.view(np.uint64).max()) * 2 * g._max_degree + m * int(c.view(np.uint64).max())
         < _INT64_HEADROOM
     ):
-        received = g._inflow(z)
-        received += c
-        residual = deg * z
-        residual -= received
-        residual += s
-        absorbed = int(np.dot(mult, z))
-        if (
-            residual.any()
-            or not (s.view(np.uint64) < deg.view(np.uint64)).all()
-            or int(c.sum()) - int(s.sum()) != absorbed
-        ):
-            return None
+        co, so, zo = c, s, z
+        in_range = (s.view(np.uint64) < deg.view(np.uint64)).all()
     else:
         co, so, zo, deg, mult = (a.astype(object) for a in (c, s, z, deg, mult))
-        received = co + g._inflow(zo)
-        absorbed = int((mult * zo).sum())
-        if (
-            np.count_nonzero(so != received - deg * zo)
-            or so.min() < 0
-            or (deg - so).min() <= 0
-            or zo.min() < 0
-            or int((co - so).sum()) != absorbed
-        ):
-            return None
+        in_range = zo.min() >= 0 and so.min() >= 0 and (deg - so).min() > 0
+    received = g._inflow(zo)
+    received += co
+    residual = deg * zo
+    residual -= received
+    residual += so
+    absorbed = int(np.dot(mult, zo))
+    if residual.any() or not in_range or int(co.sum()) - int(so.sum()) != absorbed:
+        return None
     return StabilizationResult(s, z, absorbed, _total(z), received)
 
 
@@ -830,12 +821,13 @@ def tcl_exact(g: SandpileGraph, state_limit: int = DEFAULT_STATE_LIMIT) -> TclRe
     """Longest transient addition chain from the empty configuration.
 
     Explores the stable-state transition graph (add one particle anywhere,
-    stabilize; only a site brought to its degree topples).  Additions whose result is recurrent are not counted; the
-    value is the largest number of additions that keeps every intermediate
-    stable configuration transient.  The transient states reachable from
-    empty are taken in topological order, successors first, and each gets
-    its longest chain; ties go to the lowest site.  A cycle among transient
-    states would contradict finiteness and raises ``InternalError``.
+    stabilize; only a site brought to its degree topples).  Additions whose
+    result is recurrent are not counted; the value is the largest number of
+    additions that keeps every intermediate stable configuration transient.
+    The transient states reachable from empty are taken in topological
+    order, successors first, and each gets its longest chain; ties go to
+    the lowest site.  A cycle among transient states would contradict
+    finiteness and raises ``InternalError``.
     """
     _check_state_space(g, state_limit)
     m = g.n_ordinary

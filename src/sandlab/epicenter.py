@@ -185,25 +185,22 @@ def _staircase(p, q):
 
 
 def _grid_side(g):
-    """Side length when g is a full square lattice block, else None."""
-    if g.coords is None:
-        return None
-    m = g.n_ordinary
-    side = math.isqrt(m)
-    if side * side != m or side < 2:
-        return None
-    if set(g.coords.values()) != {(x, y) for x in range(side) for y in range(side)}:
-        return None
-    if not (g.degree == 4).all():
-        return None
-    return side
+    """Side n when g is the n x n lattice block with row-major labels, as
+    ``grid_sandpile`` and ``sandlab gen grid`` produce it (``graph_core``
+    decides this once, as ``g._block``), for n >= 2; else None."""
+    rows, cols = g._block or (0, 0)
+    return rows if rows == cols >= 2 else None
 
 
 def find_central_path_grid(g, p, q) -> CentralPath:
     """Staircase path from p to q through the grid center, classified.
 
-    Uses at most two legs (p to center, center to q), each a staircase
-    under the straight segment.  Segments are classified with the grid
+    A grid is a square lattice block with row-major labels, as
+    ``grid_sandpile`` and ``sandlab gen grid`` produce: vertex v is cell
+    ``divmod(v, side)``.  The path has two legs (p to center, center to q),
+    each a staircase under the straight segment between the cells; when p
+    or q is the center, one leg is a single cell and ``classify_path``
+    drops the break at its end.  Segments are classified with the grid
     defaults' ``drift_len``, the one ``tcl_bound`` reads.
     """
     side = _grid_side(g)
@@ -217,18 +214,10 @@ def find_central_path_grid(g, p, q) -> CentralPath:
     if p == q:
         return CentralPath(vertices=(), eta=(), segments=(), drift_len=l)
     mid = (side - 1) // 2
-    center = g.vertex_at(mid, mid)
-    cp, cq, cc = g.coords[p], g.coords[q], g.coords[center]
-    if p == center or q == center:
-        coords = _staircase(cp, cq)
-        breaks = None
-    else:
-        first = _staircase(cp, cc)
-        second = _staircase(cc, cq)
-        coords = first + second[1:]
-        breaks = [len(first) - 1]
-    vertices = [g.vertex_at(x, y) for x, y in coords]
-    return classify_path(g, vertices, l=l, breaks=breaks)
+    first = _staircase(divmod(p, side), (mid, mid))
+    second = _staircase((mid, mid), divmod(q, side))
+    vertices = [x * side + y for x, y in first + second[1:]]
+    return classify_path(g, vertices, l=l, breaks=[len(first) - 1])
 
 
 def classify_path(g, path, l=0.0, breaks=None) -> CentralPath:

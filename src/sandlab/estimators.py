@@ -184,23 +184,6 @@ def _draws(prop, family, sizes, samples, seed, interior=False):
             yield n, i, g, rng, v, int(rng.integers(1, cap + 1)), cap
 
 
-def _report(prop, family, sizes, samples, seed, rows, estimates, flags,
-            witness, excluded, table=()):
-    return EstimateReport(
-        property_name=prop,
-        family=family,
-        sizes=list(sizes),
-        samples_per_size=int(samples),
-        seed=int(seed),
-        estimates=estimates,
-        flags=flags,
-        witness=witness,
-        excluded=int(excluded),
-        rows=rows,
-        table=table,
-    )
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -232,8 +215,8 @@ def estimate_alpha(family, sizes, samples, seed) -> EstimateReport:
         "delta_lo": float(lo[0]),
         "delta_up": float(up[0]),
     }
-    return _report("alpha", family, sizes, samples, seed, rows, estimates,
-                   {}, witness, 0)
+    return EstimateReport("alpha", family, list(sizes), samples, seed, estimates,
+                          {}, witness, 0, rows)
 
 
 def estimate_hlc(family, sizes, samples, seed) -> EstimateReport:
@@ -260,8 +243,8 @@ def estimate_hlc(family, sizes, samples, seed) -> EstimateReport:
     estimates = {"c_sigma": worst.value}
     flags = {"no_uniform_c_sigma": bool(no_uniform)}
     witness = {"n": worst.n, "v": worst.v, "r": worst.r}
-    return _report("hlc", family, sizes, samples, seed, rows, estimates,
-                   flags, witness, 0)
+    return EstimateReport("hlc", family, list(sizes), samples, seed, estimates,
+                          flags, witness, 0, rows)
 
 
 def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
@@ -297,8 +280,8 @@ def estimate_mv(family, sizes, samples, seed) -> EstimateReport:
     worst = min(rows, key=lambda row: row.value)
     estimates = {"c_h": worst.value, "radius1_worst_err": float(radius1_err)}
     witness = {"n": worst.n, "v": worst.v, "r": worst.r, "pole": worst.aux["pole"]}
-    return _report("mv", family, sizes, samples, seed, rows, estimates,
-                   {}, witness, excluded)
+    return EstimateReport("mv", family, list(sizes), samples, seed, estimates,
+                          {}, witness, excluded, rows)
 
 
 def estimate_ls(family, sizes, samples, seed) -> EstimateReport:
@@ -346,8 +329,8 @@ def estimate_ls(family, sizes, samples, seed) -> EstimateReport:
     }
     witness = {"n": worst.n, "v": worst.v, "r": worst.r,
                "R": worst.outer, "target": worst.aux["target"]}
-    return _report("ls", family, sizes, samples, seed, rows, estimates,
-                   flags, witness, excluded)
+    return EstimateReport("ls", family, list(sizes), samples, seed, estimates,
+                          flags, witness, excluded, rows)
 
 
 def estimate_op(family, sizes, samples, seed) -> EstimateReport:
@@ -391,8 +374,8 @@ def estimate_op(family, sizes, samples, seed) -> EstimateReport:
     }
     flags = {"formula_violations": violations}
     witness = {"n": worst.n, "v": worst.v, "r": worst.r, "R": worst.outer}
-    return _report("op", family, sizes, samples, seed, rows, estimates,
-                   flags, witness, 0, table=table)
+    return EstimateReport("op", family, list(sizes), samples, seed, estimates,
+                          flags, witness, 0, rows, table)
 
 
 def _inner_boundary(g, ball):

@@ -5,6 +5,7 @@ Fraction-exact linear algebra, direct lattice enumeration.  Expected
 values frozen into the tests were produced by these.
 """
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -318,3 +319,38 @@ def bisect_probes(g, base, done):
         else:
             lo = mid
     return probes
+
+
+def coordinate_central_path(g, p, q):
+    """The grid central path built from coordinates, the reference for
+    ``find_central_path_grid``: a graph is a grid when its coordinates fill
+    an n x n square (n >= 2) and every degree is 4, and the two legs run
+    between the coordinates of p, of the vertex at ((n - 1) // 2,
+    (n - 1) // 2) and of q, with one leg when p or q is that center."""
+    from sandlab.epicenter import BoundParams, CentralPath, _staircase, classify_path
+    from sandlab.errors import PreconditionError
+
+    m = g.n_ordinary
+    side = math.isqrt(m)
+    if (
+        g.coords is None
+        or side * side != m
+        or side < 2
+        or set(g.coords.values()) != {(x, y) for x in range(side) for y in range(side)}
+        or not (g.degree == 4).all()
+    ):
+        raise PreconditionError("central-path construction defined for grid family only")
+    g.check_ordinary(p, "path start")
+    g.check_ordinary(q, "path end")
+    l = BoundParams.grid_defaults().drift_len
+    if p == q:
+        return CentralPath(vertices=(), eta=(), segments=(), drift_len=l)
+    mid = (side - 1) // 2
+    center = g.vertex_at(mid, mid)
+    cp, cq, cc = g.coords[p], g.coords[q], g.coords[center]
+    if center in (p, q):
+        coords, breaks = _staircase(cp, cq), None
+    else:
+        first = _staircase(cp, cc)
+        coords, breaks = first + _staircase(cc, cq)[1:], [len(first) - 1]
+    return classify_path(g, [g.vertex_at(x, y) for x, y in coords], l=l, breaks=breaks)

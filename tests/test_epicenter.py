@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sandlab import (
     BoundParams,
     PreconditionError,
@@ -16,6 +18,8 @@ from sandlab import (
     estimate_mv,
     find_central_path_grid,
     flood_count,
+    graph_from_json,
+    graph_to_json,
     grid_sandpile,
     line_sandpile,
     point_config,
@@ -25,6 +29,7 @@ from sandlab import (
     tcl_bound,
 )
 from sandlab.epicenter import _staircase
+from test_engine import _swapped_grid5
 
 
 # -- staircase --------------------------------------------------------------
@@ -163,6 +168,85 @@ def test_eta_ratio_window_along_segments():
     eta = p.eta
     for i in range(len(eta) - 1):
         assert abs(eta[i] - eta[i + 1]) <= 1  # Lipschitz along the path
+
+
+# -- what counts as a grid --------------------------------------------------
+
+
+def _path_or_refusal(build, g, p, q):
+    try:
+        return build(g, p, q)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _grid9_from_json():
+    return graph_from_json(graph_to_json(grid_sandpile(9)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: grid_sandpile(n) for n in range(2, 10)), _grid9_from_json],
+    ids=[*(f"grid{n}" for n in range(2, 10)), "grid9-json"],
+)
+def test_central_paths_equal_the_coordinate_construction(make):
+    g = make()
+    m = g.n_ordinary
+    for p in range(m):
+        for q in range(m):
+            assert _path_or_refusal(find_central_path_grid, g, p, q) == _path_or_refusal(
+                oracles.coordinate_central_path, g, p, q
+            ), (p, q)
+
+
+@pytest.mark.parametrize("x, y", [(0, 0), (2, 2)])
+def test_degree_four_grid_coordinates_with_swapped_edges_are_no_grid(x, y):
+    # every degree is 4 and the coordinates fill the square, but two edges
+    # are diagonals, so cell-index staircases would cross missing edges
+    g = _swapped_grid5(x, y)
+    bp = BoundParams.grid_defaults()
+    outcomes = {}
+    for p in range(25):
+        for q in set(range(25)) - {p}:
+            for build in (find_central_path_grid, lambda g, p, q: propagate(g, p, q, bp)):
+                with pytest.raises(PreconditionError, match="grid family only"):
+                    build(g, p, q)
+            try:
+                trace = propagate(g, p, q, bp, heuristic=True)
+            except PreconditionError as exc:
+                outcomes[p, q] = str(exc)
+            else:
+                outcomes[p, q] = trace.target_flooded
+    assert set(outcomes.values()) == {True, "path not (k,l)-central"}
+    assert outcomes[0, 24] is outcomes[24, 0] is True
+
+
+def test_grid_saved_without_coords_is_walked_alike():
+    g = grid_sandpile(9)
+    doc = graph_to_json(g)
+    del doc["coords"]
+    bare = graph_from_json(doc)
+    assert bare.coords is None and bare._block == (9, 9)
+    bp = BoundParams.grid_defaults()
+    for p, q in ((10, 70), (40, 0), (8, 72), (0, 40)):
+        assert find_central_path_grid(bare, p, q) == find_central_path_grid(g, p, q)
+        assert propagate(bare, p, q, bp) == propagate(g, p, q, bp)
+
+
+def test_grid_with_permuted_labels_needs_the_heuristic():
+    # lattice and coordinates of grid 5, labels shuffled: the coordinates
+    # still fill the square, but the labels are not row-major
+    perm = np.random.default_rng(3).permutation(25).tolist() + [25]
+    doc = graph_to_json(grid_sandpile(5))
+    doc["edges"] = [[perm[u], perm[v], k] for u, v, k in doc["edges"]]
+    doc["coords"] = {str(perm[int(v)]): xy for v, xy in doc["coords"].items()}
+    g = graph_from_json(doc)
+    assert g._block is None and (g.degree == 4).all()
+    p, q = g.vertex_at(0, 0), g.vertex_at(4, 4)
+    bp = BoundParams.grid_defaults()
+    with pytest.raises(PreconditionError, match="grid family only"):
+        propagate(g, p, q, bp)
+    assert propagate(g, p, q, bp, heuristic=True).target_flooded
 
 
 # -- bounds -----------------------------------------------------------------
